@@ -2692,16 +2692,14 @@ fn check_trace_command(
     exemplars: Option<&Path>,
     heat: Option<&Path>,
 ) -> Result<String, CliError> {
-    let read = |path: &Path| -> Result<String, CliError> {
-        std::fs::read_to_string(path)
-            .map_err(|e| err(format!("cannot read {}: {e}", path.display())))
-    };
-    let parse = |path: &Path, text: &str| -> Result<JsonValue, CliError> {
-        JsonValue::parse(text).map_err(|e| err(format!("{}: invalid JSON: {e}", path.display())))
+    let load = |path: &Path| -> Result<JsonValue, CliError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
+        JsonValue::parse(&text).map_err(|e| err(format!("{}: invalid JSON: {e}", path.display())))
     };
     let mut out = String::new();
     if let Some(path) = trace {
-        let doc = parse(path, &read(path)?)?;
+        let doc = load(path)?;
         let events = doc
             .get("traceEvents")
             .and_then(JsonValue::as_array)
@@ -2738,8 +2736,11 @@ fn check_trace_command(
             events.len()
         );
     }
+    // Kept for the heat cross-check below, so each file is read and
+    // parsed once.
+    let mut summary_doc = None;
     if let Some(path) = summary {
-        let doc = parse(path, &read(path)?)?;
+        let doc = load(path)?;
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if !matches!(schema, Some(SUMMARY_SCHEMA | SUMMARY_SCHEMA_V3)) {
             return Err(err(format!(
@@ -2790,9 +2791,10 @@ fn check_trace_command(
         }
         let kind = doc.get("kind").and_then(JsonValue::as_str).unwrap_or("?");
         let _ = writeln!(out, "summary OK: {} (kind {kind})", path.display());
+        summary_doc = Some((path, doc));
     }
     if let Some(path) = metrics {
-        let doc = parse(path, &read(path)?)?;
+        let doc = load(path)?;
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if schema != Some(METRICS_SCHEMA) {
             return Err(err(format!(
@@ -2840,7 +2842,7 @@ fn check_trace_command(
         );
     }
     if let Some(path) = attrib {
-        let doc = parse(path, &read(path)?)?;
+        let doc = load(path)?;
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if schema != Some(ATTRIB_SCHEMA) {
             return Err(err(format!(
@@ -2892,7 +2894,7 @@ fn check_trace_command(
         );
     }
     if let Some(path) = exemplars {
-        let doc = parse(path, &read(path)?)?;
+        let doc = load(path)?;
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if schema != Some(EXPLAIN_SCHEMA) {
             return Err(err(format!(
@@ -3018,7 +3020,7 @@ fn check_trace_command(
         );
     }
     if let Some(path) = heat {
-        let doc = parse(path, &read(path)?)?;
+        let doc = load(path)?;
         let schema = doc.get("schema").and_then(JsonValue::as_str);
         if schema != Some(HEAT_SCHEMA) {
             return Err(err(format!(
@@ -3182,8 +3184,7 @@ fn check_trace_command(
         }
         // With a summary in the same invocation, the heat totals must
         // reproduce the engine's own counters.
-        if let Some(spath) = summary {
-            let sdoc = parse(spath, &read(spath)?)?;
+        if let Some((spath, sdoc)) = &summary_doc {
             let counters = sdoc
                 .get("counters")
                 .ok_or_else(|| err(format!("{}: no counters object", spath.display())))?;

@@ -4,6 +4,10 @@
 //! fields, so adding a counter to a report automatically adds it to
 //! every summary format.
 
+use std::fmt::Write as _;
+
+use crate::json::Escaped;
+
 /// A counter value: integers stay exact, derived ratios are floats.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CounterValue {
@@ -86,27 +90,24 @@ impl CounterRegistry {
     /// round-trip; integer values are exact.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`Self::to_json`]'s rendering to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push('{');
         for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&crate::json::escape_json(name));
-            out.push_str("\":");
-            match value {
-                CounterValue::Int(v) => out.push_str(&v.to_string()),
-                CounterValue::Float(v) => {
-                    if v.is_finite() {
-                        out.push_str(&format!("{v:.6}"));
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-            }
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}\"{}\":", Escaped(name));
+            let _ = match value {
+                CounterValue::Int(v) => write!(out, "{v}"),
+                CounterValue::Float(v) if v.is_finite() => write!(out, "{v:.6}"),
+                CounterValue::Float(_) => write!(out, "null"),
+            };
         }
         out.push('}');
-        out
     }
 }
 

@@ -43,12 +43,14 @@
 //! tracks next to the hot-region fault-rate counters.
 
 use std::collections::HashMap;
+use std::fmt::{Display, Write as _};
 use std::hash::BuildHasherDefault;
 
 use gms_units::{Duration, NodeId};
 
 use crate::event::{Event, FaultClass, ResourceKind};
 use crate::flight::OwnerHasher;
+use crate::perfetto::{close_trace, open_trace, push_meta, Us};
 use crate::recorder::Recorder;
 use crate::sketch::QuantileSketch;
 
@@ -629,11 +631,12 @@ impl Recorder for HeatMap {
 pub fn heat_json(heat: &HeatMap) -> String {
     let totals = heat.totals();
     let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"schema\":\"{HEAT_SCHEMA}\",\"region_pages\":{},\"quantum_ns\":{}",
         heat.region_pages(),
         heat.quantum().as_nanos()
-    ));
+    );
 
     out.push_str(",\"totals\":");
     push_totals(&mut out, &totals);
@@ -643,7 +646,8 @@ pub fn heat_json(heat: &HeatMap) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"node\":{},\"faults\":{},\"replica_writes\":{},\"repairs\":{},\
              \"wire_busy_ns\":{}}}",
             node.index(),
@@ -651,7 +655,7 @@ pub fn heat_json(heat: &HeatMap) -> String {
             nh.replica_writes,
             nh.repairs,
             nh.wire_busy.iter().sum::<u64>()
-        ));
+        );
     }
     out.push(']');
 
@@ -660,22 +664,25 @@ pub fn heat_json(heat: &HeatMap) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"node\":{},\"region\":{region},\"first_page\":{},\"pages\":{}",
             node.index(),
             region * heat.region_pages(),
             heat.region_pages()
-        ));
+        );
         out.push_str(",\"faults\":");
         push_fault_counts(&mut out, &stats.faults);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"first_touches\":{},\"refaults\":{}",
             stats.first_touches,
             stats.refaults()
-        ));
+        );
         out.push_str(",\"refault_ns\":");
         push_refault(&mut out, &stats.refault);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"subpage_arrivals\":{},\"subpage_mask\":{},\
              \"prefetched_subpages\":{},\"prefetched_bytes\":{},\
              \"wasted_subpages\":{},\"wasted_bytes\":{},\"replica_writes\":{}}}",
@@ -686,38 +693,41 @@ pub fn heat_json(heat: &HeatMap) -> String {
             stats.wasted_subpages,
             stats.wasted_bytes,
             stats.replica_writes
-        ));
+        );
     }
     out.push_str("]}");
     out
 }
 
 fn push_fault_counts(out: &mut String, faults: &[u64; 4]) {
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"remote\":{},\"disk\":{},\"lazy\":{},\"degraded\":{},\"total\":{}}}",
         faults[0],
         faults[1],
         faults[2],
         faults[3],
         faults.iter().sum::<u64>()
-    ));
+    );
 }
 
 fn push_refault(out: &mut String, sketch: &QuantileSketch) {
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
         sketch.count(),
         sketch.quantile(0.50),
         sketch.quantile(0.90),
         sketch.quantile(0.99),
         sketch.max()
-    ));
+    );
 }
 
 fn push_totals(out: &mut String, t: &HeatTotals) {
     out.push_str("{\"faults\":");
     push_fault_counts(out, &t.faults);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"first_touches\":{},\"refaults\":{},\"subpage_arrivals\":{},\
          \"prefetched_subpages\":{},\"prefetched_bytes\":{},\
          \"wasted_subpages\":{},\"wasted_bytes\":{},\
@@ -731,7 +741,7 @@ fn push_totals(out: &mut String, t: &HeatTotals) {
         t.wasted_bytes,
         t.replica_writes,
         t.repairs
-    ));
+    );
 }
 
 /// Render a heat map's counter tracks as a Chrome/Perfetto trace
@@ -750,47 +760,23 @@ fn push_totals(out: &mut String, t: &HeatTotals) {
 #[must_use]
 pub fn heat_perfetto(heat: &HeatMap, top: usize) -> String {
     let quantum = heat.quantum().as_nanos();
-    let mut parts: Vec<String> = Vec::new();
-
-    let mut meta = String::new();
-    for (i, (node, _)) in heat.nodes().enumerate() {
-        if i > 0 {
-            meta.push(',');
-        }
-        crate::perfetto::push_meta(
-            &mut meta,
-            node.index(),
-            0,
-            "process_name",
-            &format!("node{}", node.index()),
-        );
+    let mut out = open_trace();
+    for (node, _) in heat.nodes() {
+        let name = format!("node{}", node.index());
+        push_meta(&mut out, node.index(), 0, "process_name", &name);
     }
-    if !meta.is_empty() {
-        parts.push(meta);
-    }
-
-    let mut counter = |pid: u32, name: &str, bucket: usize, key: &str, value: String| {
-        parts.push(format!(
-            "{{\"ph\":\"C\",\"name\":\"{name}\",\"pid\":{pid},\"ts\":{},\
-             \"args\":{{\"{key}\":{value}}}}}",
-            crate::perfetto::us(bucket as u64 * quantum)
-        ));
-    };
 
     for (node, nh) in heat.nodes() {
         for (bucket, &count) in nh.fault_series.iter().enumerate() {
-            counter(node.index(), "faults", bucket, "faults", count.to_string());
+            let ts = bucket as u64 * quantum;
+            push_counter(&mut out, node.index(), "faults", ts, "faults", count);
         }
         for (bucket, &busy) in nh.wire_busy.iter().enumerate() {
             // Two wire directions share the bucket: busy / (2 × quantum).
             let pct = busy as f64 * 100.0 / (2.0 * quantum as f64);
-            counter(
-                node.index(),
-                "wire-utilization",
-                bucket,
-                "pct",
-                format!("{pct:.3}"),
-            );
+            let ts = bucket as u64 * quantum;
+            let pct = format_args!("{pct:.3}");
+            push_counter(&mut out, node.index(), "wire-utilization", ts, "pct", pct);
         }
     }
 
@@ -805,14 +791,28 @@ pub fn heat_perfetto(heat: &HeatMap, top: usize) -> String {
     for (node, region, stats) in hot.into_iter().take(top) {
         let name = format!("hot-region n{}/r{region}", node.index());
         for (bucket, &count) in stats.fault_series.iter().enumerate() {
-            counter(node.index(), &name, bucket, "faults", count.to_string());
+            let ts = bucket as u64 * quantum;
+            push_counter(&mut out, node.index(), &name, ts, "faults", count);
         }
     }
+    close_trace(out)
+}
 
-    let mut doc = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    doc.push_str(&parts.join(","));
-    doc.push_str("]}");
-    doc
+/// Appends one counter (`"C"`) event and its trailing comma.
+fn push_counter(
+    out: &mut String,
+    pid: u32,
+    name: &str,
+    at_ns: u64,
+    key: &str,
+    value: impl Display,
+) {
+    let _ = write!(
+        out,
+        "{{\"ph\":\"C\",\"name\":\"{name}\",\"pid\":{pid},\"ts\":{},\
+         \"args\":{{\"{key}\":{value}}}}},",
+        Us(at_ns)
+    );
 }
 
 #[cfg(test)]

@@ -3,30 +3,55 @@
 //!
 //! The workspace's vendored `serde` is an inert placeholder, so the
 //! exporters build JSON by hand and the tests/`check-trace` command
-//! parse it back with this module.
+//! parse it back with this module. The parser accepts exactly the RFC
+//! 8259 grammar, runs in time linear in its input and bounds nesting at
+//! [`MAX_JSON_DEPTH`], so every input yields a value or a [`JsonError`],
+//! never a panic.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so without a bound a short run of
+/// `[` overflows the stack and aborts the process. Every exported
+/// document nests at most six levels deep.
+pub const MAX_JSON_DEPTH: usize = 128;
 
 /// Escape a string for embedding in a JSON string literal (without the
 /// surrounding quotes).
 #[must_use]
 pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    Escaped(s).to_string()
+}
+
+/// Displays a string escaped for a JSON string literal (without the
+/// surrounding quotes), so writers can `write!` it straight into their
+/// output with no intermediate `String`.
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        // Every byte that needs escaping is ASCII, so each unescaped
+        // run between two of them is a `str` slice.
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
             }
-            c => out.push(c),
+            f.write_str(&s[run..i])?;
+            match b {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                _ => write!(f, "\\u{b:04x}")?,
+            }
+            run = i + 1;
         }
+        f.write_str(&s[run..])
     }
-    out
 }
 
 /// A parsed JSON value.
@@ -65,12 +90,16 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl JsonValue {
-    /// Parse a complete JSON document. Trailing whitespace is allowed;
-    /// trailing garbage is an error.
+    /// Parse a complete JSON document (RFC 8259). Trailing whitespace
+    /// is allowed; trailing garbage, raw control characters in strings,
+    /// numbers outside the grammar or the `f64` range, and nesting
+    /// deeper than [`MAX_JSON_DEPTH`] are errors.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -140,8 +169,11 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -166,9 +198,15 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// Consumes `b` if it is next; whether it was.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.peek() == Some(b);
+        self.pos += usize::from(next);
+        next
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+        if self.eat(b) {
             Ok(())
         } else {
             Err(self.err(&format!("expected '{}'", b as char)))
@@ -190,20 +228,34 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
     fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        if self.eat(b']') {
             return Ok(JsonValue::Array(items));
         }
         loop {
@@ -225,8 +277,7 @@ impl<'a> Parser<'a> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.eat(b'}') {
             return Ok(JsonValue::Object(map));
         }
         loop {
@@ -253,73 +304,107 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte as one slice. All three are ASCII, so the run ends on
+            // a char boundary of the (valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
-                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{0008}',
+                        Some(b'f') => '\u{000c}',
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            let code = self.hex4()?;
                             // Surrogates are not needed for our ASCII
                             // exporters; map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
+    /// The code unit of a `\u` escape: exactly four ASCII hex digits
+    /// after the `u` at `pos`, which is left on the last digit.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let v = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("\\u escape needs four hex digits"))?;
+            code = code * 16 + v;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Consumes a run of ASCII digits; whether there was at least one.
+    fn digits(&mut self) -> bool {
+        let n = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += n;
+        n > 0
+    }
+
     fn number(&mut self) -> Result<JsonValue, JsonError> {
+        // -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b'-');
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("expected digit in number")),
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        if self.eat(b'.') && !self.digits() {
+            return Err(self.err("expected digit after decimal point"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| JsonError {
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            if !self.digits() {
+                return Err(self.err("expected digit in exponent"));
+            }
+        }
+        let text = &self.src[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            _ => Err(JsonError {
                 offset: start,
-                message: format!("invalid number '{text}'"),
-            })
+                message: format!("number '{text}' out of range"),
+            }),
+        }
     }
 }
 
@@ -363,6 +448,70 @@ mod tests {
         assert!(JsonValue::parse("{\"a\":1} x").is_err());
         assert!(JsonValue::parse("nul").is_err());
         assert!(JsonValue::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn accepts_exactly_the_rfc_8259_grammar() {
+        // (input, accepted)
+        const CASES: &[(&str, bool)] = &[
+            ("0", true),
+            ("-0", true),
+            ("12.5e-3", true),
+            ("1E+2", true),
+            ("-10.25e5", true),
+            ("1e-400", true), // underflows to 0.0, which is finite
+            ("01", false),
+            ("-01", false),
+            ("-.5", false),
+            (".5", false),
+            ("1.", false),
+            ("1.e5", false),
+            ("1e", false),
+            ("1e+", false),
+            ("+1", false),
+            ("-", false),
+            ("1e400", false),
+            ("-1e400", false),
+            (r#""\u0041\u00e9""#, true),
+            (r#""\u+041""#, false),
+            (r#""\u-041""#, false),
+            (r#""\u004""#, false),
+            (r#""\u00g1""#, false),
+            (r#""\"\\\/\b\f\n\r\t""#, true),
+            (r#""\x""#, false),
+            ("\"a\u{1}b\"", false),
+            ("\"tab\there\"", false),
+            ("\"line\nbreak\"", false),
+            ("\"\u{1f}\"", false),
+            ("\"\u{7f} \u{e9} \u{2713} \u{1f600}\"", true),
+            ("[1,2]", true),
+            ("[1,]", false),
+            ("[1 2]", false),
+            ("{\"a\":1,}", false),
+            ("{a:1}", false),
+            (" null ", true),
+            ("True", false),
+            ("null x", false),
+        ];
+        for &(input, accepted) in CASES {
+            assert_eq!(JsonValue::parse(input).is_ok(), accepted, "{input:?}");
+        }
+        assert_eq!(
+            JsonValue::parse(r#""\u0041\u00e9""#),
+            Ok(JsonValue::String("A\u{e9}".into()))
+        );
+        assert_eq!(JsonValue::parse("1e-400"), Ok(JsonValue::Number(0.0)));
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nest(MAX_JSON_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_JSON_DEPTH, "{err}");
+        // Far deeper than any stack allows: an error, not an abort.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
+        assert!(JsonValue::parse(&"{\"k\":".repeat(100_000)).is_err());
     }
 
     #[test]

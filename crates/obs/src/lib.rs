@@ -95,7 +95,7 @@ pub use event::{Event, FaultClass, PolicyChoice, ResourceKind};
 pub use flight::{Exemplar, FlightRecorder, WindowTally};
 pub use heat::{heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA};
 pub use hist::LogHistogram;
-pub use json::{escape_json, JsonValue};
+pub use json::{escape_json, JsonValue, MAX_JSON_DEPTH};
 pub use perfetto::{perfetto_trace, trace_nodes, APP_TRACK};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
 pub use sketch::QuantileSketch;

@@ -18,62 +18,285 @@
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
 use std::collections::BTreeSet;
+use std::fmt::{self, Write as _};
 
-use gms_units::NodeId;
+use gms_units::{NodeId, SimTime};
 
 use crate::event::{Event, ResourceKind};
-use crate::json::escape_json;
+use crate::json::Escaped;
 
 /// `tid` of the synthetic per-node application track.
 pub const APP_TRACK: usize = 5;
 
-pub(crate) fn us(nanos: u64) -> String {
-    // Emit as exact microsecond decimals: ns / 1000 with 3 fractional
-    // digits, no float rounding.
-    format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
+/// Displays nanoseconds as exact microsecond decimals: ns / 1000 with
+/// three fractional digits, no float rounding.
+pub(crate) struct Us(pub(crate) u64);
+
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
+    }
 }
 
+/// Displays a subpage bitmask as a JSON array of its set indices.
+struct Subpages(u32);
+
+impl fmt::Display for Subpages {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("[")?;
+        let mut sep = "";
+        for i in (0..32).filter(|i| self.0 & (1 << i) != 0) {
+            write!(f, "{sep}{i}")?;
+            sep = ",";
+        }
+        f.write_str("]")
+    }
+}
+
+/// Opens a trace document: the header up to the event array's `[`.
+/// Writers append each event followed by a `,` and finish with
+/// [`close_trace`].
+pub(crate) fn open_trace() -> String {
+    String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")
+}
+
+/// Drops the comma after the last event and closes the document.
+pub(crate) fn close_trace(mut out: String) -> String {
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Appends one metadata event (`process_name`/`thread_name`) and its
+/// trailing comma.
 pub(crate) fn push_meta(out: &mut String, pid: u32, tid: usize, kind: &str, name: &str) {
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{{\"ph\":\"M\",\"name\":\"{kind}\",\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(name)
-    ));
+         \"args\":{{\"name\":\"{}\"}}}},",
+        Escaped(name)
+    );
 }
 
-fn push_span(
-    out: &mut String,
-    pid: u32,
-    tid: usize,
-    name: &str,
-    start_ns: u64,
-    end_ns: u64,
-    args: &str,
-) {
-    let dur = end_ns.saturating_sub(start_ns);
-    out.push_str(&format!(
-        "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{pid},\"tid\":{tid},\
-         \"ts\":{},\"dur\":{}{args}}}",
-        escape_json(name),
-        us(start_ns),
-        us(dur)
-    ));
+/// Writes a complete (`"X"`) span's fields up to its optional `args`.
+fn open_span(out: &mut String, pid: u32, tid: usize, name: &str, start: SimTime, end: SimTime) {
+    let (start, end) = (start.as_nanos(), end.as_nanos());
+    let _ = write!(
+        out,
+        "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{}",
+        Escaped(name),
+        Us(start),
+        Us(end.saturating_sub(start))
+    );
 }
 
-fn push_instant(out: &mut String, pid: u32, tid: usize, name: &str, at_ns: u64, args: &str) {
-    out.push_str(&format!(
-        "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{}\",\"pid\":{pid},\"tid\":{tid},\
-         \"ts\":{}{args}}}",
-        escape_json(name),
-        us(at_ns)
-    ));
+/// Writes an instant (`"i"`) event on the app track up to its optional
+/// `args`.
+fn open_instant(out: &mut String, pid: u32, name: &str, at: SimTime) {
+    let _ = write!(
+        out,
+        "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{}\",\"pid\":{pid},\"tid\":{APP_TRACK},\"ts\":{}",
+        Escaped(name),
+        Us(at.as_nanos())
+    );
+}
+
+/// Appends one event and its trailing comma.
+fn push_event(out: &mut String, e: &Event) {
+    let pid = e.node().index();
+    // Each arm writes the event's fields and its `args`, if any; the
+    // closing brace follows the match.
+    let _ = match *e {
+        Event::Occupancy {
+            resource,
+            what,
+            start,
+            end,
+            ..
+        } => {
+            open_span(out, pid, resource.index(), what, start, end);
+            Ok(())
+        }
+        Event::Stall {
+            page, start, end, ..
+        } => {
+            open_span(out, pid, APP_TRACK, "stall", start, end);
+            write!(out, ",\"args\":{{\"page\":{page}}}")
+        }
+        Event::Fault {
+            page,
+            subpage,
+            class,
+            at_ref,
+            at,
+            ..
+        } => {
+            open_instant(out, pid, "fault", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"subpage\":{subpage},\
+                 \"class\":\"{}\",\"ref\":{at_ref}}}",
+                class.label()
+            )
+        }
+        Event::GetPage {
+            server, page, at, ..
+        } => {
+            open_instant(out, pid, "getpage", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"server\":{}}}",
+                server.index()
+            )
+        }
+        Event::Restart { page, at, wait, .. } => {
+            open_instant(out, pid, "restart", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"wait_ns\":{}}}",
+                wait.as_nanos()
+            )
+        }
+        Event::Arrival {
+            page,
+            msg,
+            at,
+            subpages,
+            ..
+        } => {
+            open_instant(out, pid, "arrival", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"msg\":{msg},\"subpages\":{}}}",
+                Subpages(subpages)
+            )
+        }
+        Event::PutPage {
+            custodian,
+            page,
+            dirty,
+            at,
+            ..
+        } => {
+            open_instant(out, pid, "putpage", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"custodian\":{},\"dirty\":{dirty}}}",
+                custodian.index()
+            )
+        }
+        Event::Timeout {
+            page, attempt, at, ..
+        } => {
+            open_instant(out, pid, "timeout", at);
+            write!(out, ",\"args\":{{\"page\":{page},\"attempt\":{attempt}}}")
+        }
+        Event::Retry {
+            page, attempt, at, ..
+        } => {
+            open_instant(out, pid, "retry", at);
+            write!(out, ",\"args\":{{\"page\":{page},\"attempt\":{attempt}}}")
+        }
+        Event::Failover {
+            custodian,
+            page,
+            at,
+            ..
+        } => {
+            open_instant(out, pid, "failover", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"custodian\":{}}}",
+                custodian.index()
+            )
+        }
+        Event::NodeDown { at, pages_lost, .. } => {
+            open_instant(out, pid, "node-down", at);
+            write!(out, ",\"args\":{{\"pages_lost\":{pages_lost}}}")
+        }
+        Event::NodeUp { at, .. } => {
+            open_instant(out, pid, "node-up", at);
+            Ok(())
+        }
+        Event::DegradedFetch {
+            page, subpage, at, ..
+        } => {
+            open_instant(out, pid, "degraded-fetch", at);
+            write!(out, ",\"args\":{{\"page\":{page},\"subpage\":{subpage}}}")
+        }
+        Event::PolicyDecision {
+            page,
+            choice,
+            delta,
+            at,
+            ..
+        } => {
+            open_instant(out, pid, "policy-decision", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"choice\":\"{}\",\"delta\":{delta}}}",
+                choice.label()
+            )
+        }
+        Event::Prefetch {
+            page,
+            subpages,
+            sub_bytes,
+            unused,
+            at,
+            ..
+        } => {
+            open_instant(out, pid, "prefetch", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"subpages\":{},\
+                 \"sub_bytes\":{sub_bytes},\"unused\":{unused}}}",
+                Subpages(subpages)
+            )
+        }
+        Event::ReplicaWrite {
+            holder,
+            page,
+            copy,
+            at,
+            ..
+        } => {
+            open_instant(out, pid, "replica-write", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"holder\":{},\"copy\":{copy}}}",
+                holder.index()
+            )
+        }
+        Event::Repair {
+            node,
+            target,
+            page,
+            at,
+        } => {
+            open_instant(out, pid, "repair", at);
+            write!(
+                out,
+                ",\"args\":{{\"page\":{page},\"source\":{},\"target\":{}}}",
+                node.index(),
+                target.index()
+            )
+        }
+        Event::DirectoryRebuild { entries, at, .. } => {
+            open_instant(out, pid, "directory-rebuild", at);
+            write!(out, ",\"args\":{{\"entries\":{entries}}}")
+        }
+    };
+    out.push_str("},");
 }
 
 /// Render events as a Chrome/Perfetto trace JSON document.
 ///
 /// One process per node that appears in `events`, one thread per
 /// `(node, resource)` plus an `app` thread per node. The output is a
-/// single-line JSON object; parse it back with
+/// single-line JSON object written into one buffer; parse it back with
 /// [`crate::JsonValue::parse`] to inspect it programmatically.
 #[must_use]
 pub fn perfetto_trace<'a, I>(events: I) -> String
@@ -84,258 +307,20 @@ where
     let events = events.into_iter();
     let nodes: BTreeSet<u32> = events.clone().map(|e| e.node().index()).collect();
 
-    let mut parts: Vec<String> = Vec::new();
-
+    let mut out = open_trace();
     // Metadata: name every process and thread up front so the tracks
     // are labelled even when empty.
-    let mut meta = String::new();
-    for (i, &node) in nodes.iter().enumerate() {
-        if i > 0 {
-            meta.push(',');
-        }
-        push_meta(&mut meta, node, 0, "process_name", &format!("node{node}"));
+    for &node in &nodes {
+        push_meta(&mut out, node, 0, "process_name", &format!("node{node}"));
         for r in ResourceKind::ALL {
-            meta.push(',');
-            push_meta(&mut meta, node, r.index(), "thread_name", r.label());
+            push_meta(&mut out, node, r.index(), "thread_name", r.label());
         }
-        meta.push(',');
-        push_meta(&mut meta, node, APP_TRACK, "thread_name", "app");
+        push_meta(&mut out, node, APP_TRACK, "thread_name", "app");
     }
-    if !meta.is_empty() {
-        parts.push(meta);
-    }
-
     for e in events {
-        let pid = e.node().index();
-        let mut out = String::new();
-        match e {
-            Event::Occupancy {
-                resource,
-                what,
-                start,
-                end,
-                ..
-            } => {
-                push_span(
-                    &mut out,
-                    pid,
-                    resource.index(),
-                    what,
-                    start.as_nanos(),
-                    end.as_nanos(),
-                    "",
-                );
-            }
-            Event::Stall {
-                page, start, end, ..
-            } => {
-                let args = format!(",\"args\":{{\"page\":{page}}}");
-                push_span(
-                    &mut out,
-                    pid,
-                    APP_TRACK,
-                    "stall",
-                    start.as_nanos(),
-                    end.as_nanos(),
-                    &args,
-                );
-            }
-            Event::Fault {
-                page,
-                subpage,
-                class,
-                at_ref,
-                at,
-                ..
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"subpage\":{subpage},\
-                     \"class\":\"{}\",\"ref\":{at_ref}}}",
-                    class.label()
-                );
-                push_instant(&mut out, pid, APP_TRACK, "fault", at.as_nanos(), &args);
-            }
-            Event::GetPage {
-                server, page, at, ..
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"server\":{}}}",
-                    server.index()
-                );
-                push_instant(&mut out, pid, APP_TRACK, "getpage", at.as_nanos(), &args);
-            }
-            Event::Restart { page, at, wait, .. } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"wait_ns\":{}}}",
-                    wait.as_nanos()
-                );
-                push_instant(&mut out, pid, APP_TRACK, "restart", at.as_nanos(), &args);
-            }
-            Event::Arrival {
-                page,
-                msg,
-                at,
-                subpages,
-                ..
-            } => {
-                let subs_json: Vec<String> = (0..32)
-                    .filter(|i| subpages & (1 << i) != 0)
-                    .map(|i: u32| i.to_string())
-                    .collect();
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"msg\":{msg},\"subpages\":[{}]}}",
-                    subs_json.join(",")
-                );
-                push_instant(&mut out, pid, APP_TRACK, "arrival", at.as_nanos(), &args);
-            }
-            Event::PutPage {
-                custodian,
-                page,
-                dirty,
-                at,
-                ..
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"custodian\":{},\"dirty\":{dirty}}}",
-                    custodian.index()
-                );
-                push_instant(&mut out, pid, APP_TRACK, "putpage", at.as_nanos(), &args);
-            }
-            Event::Timeout {
-                page, attempt, at, ..
-            } => {
-                let args = format!(",\"args\":{{\"page\":{page},\"attempt\":{attempt}}}");
-                push_instant(&mut out, pid, APP_TRACK, "timeout", at.as_nanos(), &args);
-            }
-            Event::Retry {
-                page, attempt, at, ..
-            } => {
-                let args = format!(",\"args\":{{\"page\":{page},\"attempt\":{attempt}}}");
-                push_instant(&mut out, pid, APP_TRACK, "retry", at.as_nanos(), &args);
-            }
-            Event::Failover {
-                custodian,
-                page,
-                at,
-                ..
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"custodian\":{}}}",
-                    custodian.index()
-                );
-                push_instant(&mut out, pid, APP_TRACK, "failover", at.as_nanos(), &args);
-            }
-            Event::NodeDown { at, pages_lost, .. } => {
-                let args = format!(",\"args\":{{\"pages_lost\":{pages_lost}}}");
-                push_instant(&mut out, pid, APP_TRACK, "node-down", at.as_nanos(), &args);
-            }
-            Event::NodeUp { at, .. } => {
-                push_instant(&mut out, pid, APP_TRACK, "node-up", at.as_nanos(), "");
-            }
-            Event::DegradedFetch {
-                page, subpage, at, ..
-            } => {
-                let args = format!(",\"args\":{{\"page\":{page},\"subpage\":{subpage}}}");
-                push_instant(
-                    &mut out,
-                    pid,
-                    APP_TRACK,
-                    "degraded-fetch",
-                    at.as_nanos(),
-                    &args,
-                );
-            }
-            Event::PolicyDecision {
-                page,
-                choice,
-                delta,
-                at,
-                ..
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"choice\":\"{}\",\"delta\":{delta}}}",
-                    choice.label()
-                );
-                push_instant(
-                    &mut out,
-                    pid,
-                    APP_TRACK,
-                    "policy-decision",
-                    at.as_nanos(),
-                    &args,
-                );
-            }
-            Event::Prefetch {
-                page,
-                subpages,
-                sub_bytes,
-                unused,
-                at,
-                ..
-            } => {
-                let subs_json: Vec<String> = (0..32)
-                    .filter(|i| subpages & (1 << i) != 0)
-                    .map(|i: u32| i.to_string())
-                    .collect();
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"subpages\":[{}],\
-                     \"sub_bytes\":{sub_bytes},\"unused\":{unused}}}",
-                    subs_json.join(",")
-                );
-                push_instant(&mut out, pid, APP_TRACK, "prefetch", at.as_nanos(), &args);
-            }
-            Event::ReplicaWrite {
-                holder,
-                page,
-                copy,
-                at,
-                ..
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"holder\":{},\"copy\":{copy}}}",
-                    holder.index()
-                );
-                push_instant(
-                    &mut out,
-                    pid,
-                    APP_TRACK,
-                    "replica-write",
-                    at.as_nanos(),
-                    &args,
-                );
-            }
-            Event::Repair {
-                node,
-                target,
-                page,
-                at,
-            } => {
-                let args = format!(
-                    ",\"args\":{{\"page\":{page},\"source\":{},\"target\":{}}}",
-                    node.index(),
-                    target.index()
-                );
-                push_instant(&mut out, pid, APP_TRACK, "repair", at.as_nanos(), &args);
-            }
-            Event::DirectoryRebuild { entries, at, .. } => {
-                let args = format!(",\"args\":{{\"entries\":{entries}}}");
-                push_instant(
-                    &mut out,
-                    pid,
-                    APP_TRACK,
-                    "directory-rebuild",
-                    at.as_nanos(),
-                    &args,
-                );
-            }
-        }
-        parts.push(out);
+        push_event(&mut out, e);
     }
-
-    let mut doc = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    doc.push_str(&parts.join(","));
-    doc.push_str("]}");
-    doc
+    close_trace(out)
 }
 
 /// The set of node indices appearing in a trace (exported for tests
@@ -351,7 +336,7 @@ mod tests {
     use super::*;
     use crate::event::FaultClass;
     use crate::json::JsonValue;
-    use gms_units::{Duration, SimTime};
+    use gms_units::Duration;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -359,10 +344,17 @@ mod tests {
 
     #[test]
     fn microsecond_rendering_is_exact() {
-        assert_eq!(us(0), "0.000");
-        assert_eq!(us(999), "0.999");
-        assert_eq!(us(1_000), "1.000");
-        assert_eq!(us(52_345), "52.345");
+        assert_eq!(Us(0).to_string(), "0.000");
+        assert_eq!(Us(999).to_string(), "0.999");
+        assert_eq!(Us(1_000).to_string(), "1.000");
+        assert_eq!(Us(52_345).to_string(), "52.345");
+    }
+
+    #[test]
+    fn subpage_masks_render_as_index_arrays() {
+        assert_eq!(Subpages(0).to_string(), "[]");
+        assert_eq!(Subpages(0b1010).to_string(), "[1,3]");
+        assert_eq!(Subpages(1 << 31 | 1).to_string(), "[0,31]");
     }
 
     #[test]

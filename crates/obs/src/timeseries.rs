@@ -294,60 +294,63 @@ impl TimeSeriesRecorder {
 pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
     let window_ns = ts.window().as_nanos();
     let nodes = ts.n_nodes().max(1) as u64;
-    let windows: Vec<String> = ts
-        .windows()
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let mut reg = CounterRegistry::new();
-            reg.set("t_ns", i as u64 * window_ns);
-            reg.set("faults", w.faults);
-            reg.set("restarts", w.restarts);
-            reg.set("timeouts", w.timeouts);
-            reg.set("retries", w.retries);
-            reg.set("degraded_fetches", w.degraded_fetches);
-            reg.set("putpages", w.putpages);
-            reg.set("node_downs", w.node_downs);
-            reg.set("node_ups", w.node_ups);
-            reg.set("stall_ns", w.stall.as_nanos());
+    let util_keys =
+        crate::ResourceKind::ALL.map(|r| format!("util_{}", r.label().replace('-', "_")));
+    let mut out = format!(
+        "{{\"schema\":\"{METRICS_SCHEMA}\",\"window_ns\":{window_ns},\"nodes\":{},\"windows\":[",
+        ts.n_nodes()
+    );
+    // One registry serves every window: each `set` overwrites a value in
+    // place, so key names are allocated once.
+    let mut reg = CounterRegistry::new();
+    for (i, w) in ts.windows().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        reg.set("t_ns", i as u64 * window_ns);
+        reg.set("faults", w.faults);
+        reg.set("restarts", w.restarts);
+        reg.set("timeouts", w.timeouts);
+        reg.set("retries", w.retries);
+        reg.set("degraded_fetches", w.degraded_fetches);
+        reg.set("putpages", w.putpages);
+        reg.set("node_downs", w.node_downs);
+        reg.set("node_ups", w.node_ups);
+        reg.set("stall_ns", w.stall.as_nanos());
+        reg.set_f64(
+            "inflight_mean",
+            w.inflight.as_nanos() as f64 / window_ns as f64,
+        );
+        for (r, key) in crate::ResourceKind::ALL.iter().zip(&util_keys) {
+            // Aggregate utilization: busy time over every node's copy of
+            // this resource. The last window is partial, so its
+            // utilization is understated.
             reg.set_f64(
-                "inflight_mean",
-                w.inflight.as_nanos() as f64 / window_ns as f64,
+                key,
+                w.busy[r.index()].as_nanos() as f64 / (window_ns * nodes) as f64,
             );
-            for r in crate::ResourceKind::ALL {
-                // Aggregate utilization: busy time over every node's
-                // copy of this resource. The last window is partial,
-                // so its utilization is understated.
-                reg.set_f64(
-                    &format!("util_{}", r.label().replace('-', "_")),
-                    w.busy[r.index()].as_nanos() as f64 / (window_ns * nodes) as f64,
-                );
-            }
-            reg.set("wait_count", w.waits.count());
-            reg.set(
-                "wait_p50_ns",
-                if w.waits.count() > 0 {
-                    w.waits.percentile(0.5)
-                } else {
-                    0
-                },
-            );
-            reg.set(
-                "wait_p99_ns",
-                if w.waits.count() > 0 {
-                    w.waits.percentile(0.99)
-                } else {
-                    0
-                },
-            );
-            reg.to_json()
-        })
-        .collect();
-    format!(
-        "{{\"schema\":\"{METRICS_SCHEMA}\",\"window_ns\":{window_ns},\"nodes\":{},\"windows\":[{}]}}",
-        ts.n_nodes(),
-        windows.join(",")
-    )
+        }
+        reg.set("wait_count", w.waits.count());
+        reg.set(
+            "wait_p50_ns",
+            if w.waits.count() > 0 {
+                w.waits.percentile(0.5)
+            } else {
+                0
+            },
+        );
+        reg.set(
+            "wait_p99_ns",
+            if w.waits.count() > 0 {
+                w.waits.percentile(0.99)
+            } else {
+                0
+            },
+        );
+        reg.write_json(&mut out);
+    }
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]
