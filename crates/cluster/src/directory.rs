@@ -14,10 +14,8 @@
 //! which coincides with ascending store clock — a property the rebuild
 //! path relies on to reconstruct sets byte-identically.
 
-use std::collections::HashMap;
-
 use gms_mem::PageId;
-use gms_units::NodeId;
+use gms_units::{FastMap, NodeId};
 
 /// An ordered set of nodes holding copies of one page.
 ///
@@ -71,7 +69,7 @@ pub struct Directory {
     n_nodes: u32,
     target_replicas: u32,
     /// One shard per custodian node, indexed by `custodian(page)`.
-    shards: Vec<HashMap<PageId, ReplicaSet>>,
+    shards: Vec<FastMap<PageId, ReplicaSet>>,
     /// Entries with at least one copy but fewer than `target_replicas`,
     /// maintained incrementally so the engine can poll it cheaply.
     under_replicated: usize,
@@ -102,7 +100,7 @@ impl Directory {
         Directory {
             n_nodes,
             target_replicas: replicas,
-            shards: vec![HashMap::new(); n_nodes as usize],
+            shards: vec![FastMap::default(); n_nodes as usize],
             under_replicated: 0,
         }
     }
@@ -137,7 +135,7 @@ impl Directory {
             .flat_map(|shard| shard.drain())
             .collect();
         self.n_nodes = n_nodes;
-        self.shards.resize(n_nodes as usize, HashMap::new());
+        self.shards.resize(n_nodes as usize, FastMap::default());
         for (page, set) in old {
             let shard = self.custodian(page).as_usize();
             self.shards[shard].insert(page, set);
@@ -153,11 +151,11 @@ impl Directory {
         NodeId::new((h >> 32) as u32 % self.n_nodes)
     }
 
-    fn shard(&self, page: PageId) -> &HashMap<PageId, ReplicaSet> {
+    fn shard(&self, page: PageId) -> &FastMap<PageId, ReplicaSet> {
         &self.shards[self.custodian(page).as_usize()]
     }
 
-    fn shard_mut(&mut self, page: PageId) -> &mut HashMap<PageId, ReplicaSet> {
+    fn shard_mut(&mut self, page: PageId) -> &mut FastMap<PageId, ReplicaSet> {
         let idx = self.custodian(page).as_usize();
         &mut self.shards[idx]
     }
@@ -271,13 +269,13 @@ impl Directory {
     /// Number of pages with live global copies.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.shards.iter().map(FastMap::len).sum()
     }
 
     /// Whether no global copies are recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashMap::is_empty)
+        self.shards.iter().all(FastMap::is_empty)
     }
 
     /// Total copies across all entries (`len()` when unreplicated).
@@ -285,7 +283,7 @@ impl Directory {
     pub fn total_replicas(&self) -> usize {
         self.shards
             .iter()
-            .flat_map(HashMap::values)
+            .flat_map(FastMap::values)
             .map(ReplicaSet::len)
             .sum()
     }
@@ -302,7 +300,7 @@ impl Directory {
     pub fn iter(&self) -> impl Iterator<Item = (PageId, NodeId)> + '_ {
         self.shards
             .iter()
-            .flat_map(HashMap::iter)
+            .flat_map(FastMap::iter)
             .map(|(k, v)| (*k, v.as_slice()[0]))
     }
 
@@ -310,7 +308,7 @@ impl Directory {
     pub fn iter_replicas(&self) -> impl Iterator<Item = (PageId, &[NodeId])> + '_ {
         self.shards
             .iter()
-            .flat_map(HashMap::iter)
+            .flat_map(FastMap::iter)
             .map(|(k, v)| (*k, v.as_slice()))
     }
 

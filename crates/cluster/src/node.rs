@@ -1,9 +1,7 @@
 //! A cluster node's global page cache.
 
-use std::collections::HashMap;
-
 use gms_mem::PageId;
-use gms_units::NodeId;
+use gms_units::{FastMap, NodeId};
 
 /// A page held in a node's global cache on behalf of another node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +40,7 @@ pub struct Node {
     id: NodeId,
     capacity: u64,
     down: bool,
-    pages: HashMap<PageId, GlobalEntry>,
+    pages: FastMap<PageId, GlobalEntry>,
 }
 
 impl Node {
@@ -53,7 +51,7 @@ impl Node {
             id,
             capacity,
             down: false,
-            pages: HashMap::new(),
+            pages: FastMap::default(),
         }
     }
 

@@ -8,10 +8,8 @@
 //! structure so the driver's stall logic, overlap attribution and
 //! eviction bookkeeping all consult a single queue.
 
-use std::collections::HashMap;
-
 use gms_mem::{PageId, SubpageIndex};
-use gms_units::{Duration, SimTime};
+use gms_units::{Duration, FastMap, SimTime};
 
 /// One follow-on message still on its way to a resident page.
 #[derive(Debug)]
@@ -45,7 +43,7 @@ struct PendingPage {
 /// Pending arrivals and transfer completions for one node, in one queue.
 #[derive(Debug, Default)]
 pub(crate) struct EventCore {
-    pending: HashMap<PageId, PendingPage>,
+    pending: FastMap<PageId, PendingPage>,
     /// `(page_complete_at, page)` for every transfer still in flight.
     inflight: Vec<(SimTime, PageId)>,
 }

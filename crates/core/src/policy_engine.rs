@@ -22,11 +22,11 @@
 //! * `plan_fault` may depend only on prior observations and its
 //!   arguments — no wall-clock, randomness, or cross-node state.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use gms_mem::{Geometry, SubpageIndex};
 use gms_obs::PolicyChoice;
-use gms_units::{Duration, SimTime};
+use gms_units::{Duration, FastMap, SimTime};
 
 use crate::pipeline::{MessagePlan, PipelineStrategy};
 use crate::policy::FetchPolicy;
@@ -144,7 +144,7 @@ const LEAP_MIN_DELTAS: usize = 2;
 pub struct LeapEngine {
     /// Recent absolute subpage positions per region, consecutive
     /// duplicates collapsed.
-    history: HashMap<u64, VecDeque<i64>>,
+    history: FastMap<u64, VecDeque<i64>>,
     /// Observations made before the first `plan_fault` fixed the
     /// geometry, replayed into `history` once `n_sub` is known.
     pending: Vec<(u64, SubpageIndex)>,
@@ -167,7 +167,7 @@ impl LeapEngine {
             "LeapEngine carries the leap policy"
         );
         LeapEngine {
-            history: HashMap::new(),
+            history: FastMap::default(),
             pending: Vec::new(),
             last_page: None,
             n_sub: 0,
@@ -308,7 +308,7 @@ const INDIGO_PAGE_HISTORY: usize = 4;
 pub struct IndigoEngine {
     /// Recent fault times per page (whole-page faults and demand
     /// refills both count toward hotness).
-    faults: HashMap<u64, VecDeque<SimTime>>,
+    faults: FastMap<u64, VecDeque<SimTime>>,
     /// The page and time of the most recent Fault observation — the
     /// fault `plan_fault` is about to plan.
     current: Option<(u64, SimTime)>,
@@ -327,7 +327,7 @@ impl IndigoEngine {
             "IndigoEngine carries the indigo policy"
         );
         IndigoEngine {
-            faults: HashMap::new(),
+            faults: FastMap::default(),
             current: None,
         }
     }

@@ -11,7 +11,6 @@
 //! and [`SweepResults::cells`] keeps the serial memory-major order
 //! regardless of which worker finished first.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -20,6 +19,7 @@ use gms_obs::{perfetto_trace, HeatMap, MemoryRecorder, Recorder as _};
 use gms_trace::apps::AppProfile;
 use gms_trace::synth::LAYOUT_BASE;
 use gms_trace::MaterializedTrace;
+use gms_units::FastMap;
 
 use crate::export::run_summary_json;
 use crate::{FetchPolicy, MemoryConfig, RunReport, SimConfig, SimConfigBuilder, Simulator};
@@ -303,13 +303,13 @@ pub struct SweepResults {
     cells: Vec<SweepCell>,
     /// `(policy, memory) -> cells index`, built once so lookups on
     /// large grids (and repeated `speedup` calls) stay O(1).
-    index: HashMap<(FetchPolicy, MemoryConfig), usize>,
+    index: FastMap<(FetchPolicy, MemoryConfig), usize>,
     heat: Option<HeatMap>,
 }
 
 impl SweepResults {
     fn new(cells: Vec<SweepCell>, heat: Option<HeatMap>) -> Self {
-        let mut index = HashMap::with_capacity(cells.len());
+        let mut index = FastMap::with_capacity_and_hasher(cells.len(), Default::default());
         for (i, cell) in cells.iter().enumerate() {
             // First occurrence wins, matching the old linear scan.
             index.entry((cell.policy, cell.memory)).or_insert(i);

@@ -1,8 +1,6 @@
 //! Resident-page tracking.
 
-use std::collections::HashMap;
-
-use gms_units::VirtAddr;
+use gms_units::{FastMap, VirtAddr};
 
 use crate::{Geometry, PageId, SubpageIndex, SubpageMask};
 
@@ -61,7 +59,7 @@ impl PageState {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     geometry: Geometry,
-    pages: HashMap<PageId, PageState>,
+    pages: FastMap<PageId, PageState>,
 }
 
 impl PageTable {
@@ -70,7 +68,7 @@ impl PageTable {
     pub fn new(geometry: Geometry) -> Self {
         PageTable {
             geometry,
-            pages: HashMap::new(),
+            pages: FastMap::default(),
         }
     }
 

@@ -23,9 +23,7 @@
 //! [`AttributionReport::by_component`] and the mean service column
 //! reproduces the restart-latency decomposition of Table 2.
 
-use std::collections::HashMap;
-
-use gms_units::{Duration, NodeId, SimTime};
+use gms_units::{Duration, FastMap, NodeId, SimTime};
 
 use crate::counters::CounterRegistry;
 use crate::event::{Event, FaultClass, ResourceKind};
@@ -186,7 +184,7 @@ impl AttributionReport {
     #[must_use]
     pub fn by_component(&self, class: Option<FaultClass>) -> Vec<ComponentRow> {
         let mut rows: Vec<ComponentRow> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut index: FastMap<String, usize> = FastMap::default();
         let mut add = |key: String, resource: Option<ResourceKind>, q: Duration, s: Duration| {
             let i = *index.entry(key.clone()).or_insert_with(|| {
                 rows.push(ComponentRow {
@@ -236,7 +234,7 @@ impl AttributionReport {
     #[must_use]
     pub fn by_node(&self) -> Vec<ComponentRow> {
         let mut rows: Vec<ComponentRow> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut index: FastMap<String, usize> = FastMap::default();
         let mut add = |key: String, resource: Option<ResourceKind>, q: Duration, s: Duration| {
             let i = *index.entry(key.clone()).or_insert_with(|| {
                 rows.push(ComponentRow {
@@ -437,7 +435,7 @@ where
     let mut open: Option<OpenFault> = None;
     // (node, page) -> fault index whose in-flight arrivals a later
     // Stall on that page waits for.
-    let mut stall_target: HashMap<(u32, u64), usize> = HashMap::new();
+    let mut stall_target: FastMap<(u32, u64), usize> = FastMap::default();
 
     for e in events {
         match *e {

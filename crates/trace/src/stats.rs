@@ -1,8 +1,6 @@
 //! Trace statistics.
 
-use std::collections::HashSet;
-
-use gms_units::Bytes;
+use gms_units::{Bytes, FastSet};
 
 use crate::{Run, TraceSource};
 
@@ -58,7 +56,7 @@ impl TraceStats {
         );
         let shift = page_size.get().trailing_zeros();
         let mut stats = TraceStats::default();
-        let mut pages: HashSet<u64> = HashSet::new();
+        let mut pages: FastSet<u64> = FastSet::default();
         let mut min = u64::MAX;
         let mut max = 0u64;
 
@@ -102,7 +100,7 @@ impl TraceStats {
 
 /// Inserts every page a run touches, in O(pages), handling arbitrary
 /// strides without iterating per reference when the stride is small.
-fn insert_run_pages(pages: &mut HashSet<u64>, run: Run, page_shift: u32) {
+fn insert_run_pages(pages: &mut FastSet<u64>, run: Run, page_shift: u32) {
     let stride_abs = run.stride().unsigned_abs();
     let page_size = 1u64 << page_shift;
     if stride_abs <= page_size {
