@@ -371,35 +371,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// The instant the event takes effect — for span events (`Stall`,
-    /// `Occupancy`) the span start. This is the timestamp key
-    /// [`MemoryRecorder::merge`] orders by when combining arenas.
-    ///
-    /// [`MemoryRecorder::merge`]: crate::MemoryRecorder::merge
-    #[must_use]
-    pub fn at(&self) -> SimTime {
-        match *self {
-            Event::Fault { at, .. }
-            | Event::GetPage { at, .. }
-            | Event::Restart { at, .. }
-            | Event::Arrival { at, .. }
-            | Event::PutPage { at, .. }
-            | Event::Timeout { at, .. }
-            | Event::Retry { at, .. }
-            | Event::Failover { at, .. }
-            | Event::NodeDown { at, .. }
-            | Event::NodeUp { at, .. }
-            | Event::DegradedFetch { at, .. }
-            | Event::PolicyDecision { at, .. }
-            | Event::Prefetch { at, .. }
-            | Event::ReplicaWrite { at, .. }
-            | Event::Repair { at, .. }
-            | Event::DirectoryRebuild { at, .. } => at,
-            Event::Stall { start, .. } => start,
-            Event::Occupancy { start, .. } => start,
-        }
-    }
-
     /// The page the event concerns, for the page-scoped events of the
     /// fault lifecycle (`None` for occupancies and node-level events,
     /// which carry no page). Consumers that route events by
@@ -517,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_events_carry_node_and_time() {
+    fn adaptive_events_carry_their_node() {
         let d = Event::PolicyDecision {
             node: NodeId::new(2),
             page: 9,
@@ -526,7 +497,6 @@ mod tests {
             at: SimTime::from_nanos(5),
         };
         assert_eq!(d.node(), NodeId::new(2));
-        assert_eq!(d.at(), SimTime::from_nanos(5));
         let p = Event::Prefetch {
             node: NodeId::new(1),
             page: 4,
@@ -536,7 +506,6 @@ mod tests {
             at: SimTime::from_nanos(7),
         };
         assert_eq!(p.node(), NodeId::new(1));
-        assert_eq!(p.at(), SimTime::from_nanos(7));
     }
 
     #[test]
@@ -550,7 +519,6 @@ mod tests {
         };
         assert_eq!(w.node(), NodeId::new(0));
         assert_eq!(w.page(), Some(12));
-        assert_eq!(w.at(), SimTime::from_nanos(9));
         let r = Event::Repair {
             node: NodeId::new(2),
             target: NodeId::new(4),
@@ -566,6 +534,5 @@ mod tests {
         };
         assert_eq!(d.node(), NodeId::new(3));
         assert_eq!(d.page(), None);
-        assert_eq!(d.at(), SimTime::from_nanos(13));
     }
 }

@@ -725,7 +725,7 @@ impl Recorder for FlightRecorder {
     /// reserves once for the whole batch instead of paying a capacity
     /// check per event.
     #[inline]
-    fn record_batch(&mut self, events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
         if self.cur.is_some() {
             self.cur_events.extend(events);
         }

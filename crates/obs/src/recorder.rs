@@ -31,9 +31,11 @@ pub trait Recorder {
     /// occupancy handling is a plain buffer append can override it to
     /// amortize the per-event capacity checks across the batch. Callers
     /// must only pass events the recorder treats uniformly (no
-    /// `Fault`/`Restart`/`Arrival`/`Stall` lifecycle edges).
+    /// `Fault`/`Restart`/`Arrival`/`Stall` lifecycle edges). The
+    /// iterator is `Clone` so a fan-out can hand the same batch to each
+    /// of its halves.
     #[inline]
-    fn record_batch(&mut self, events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
         for event in events {
             self.record(event);
         }
@@ -163,33 +165,6 @@ impl MemoryRecorder {
         }
         self.used += 1;
     }
-
-    /// Deterministically merges several recorder arenas — e.g. one per
-    /// worker shard of an offline analysis — into a single stream
-    /// ordered by `(timestamp, arena index, within-arena position)`.
-    ///
-    /// The order is total and independent of how work was scheduled
-    /// across the arenas, so two merges of the same logical recording
-    /// are byte-identical however it was sharded. Merging one arena is
-    /// the identity: events at equal timestamps keep their emission
-    /// order. (The cluster engine itself never needs this — its
-    /// conservative scheduler serializes all recording into one arena
-    /// in canonical commit order whatever the thread count.)
-    #[must_use]
-    pub fn merge(parts: impl IntoIterator<Item = MemoryRecorder>) -> MemoryRecorder {
-        let mut events: Vec<Event> = Vec::new();
-        for part in parts {
-            events.extend(part.into_events());
-        }
-        // Arena-major concatenation plus a stable sort on the timestamp
-        // alone realizes the full three-part key.
-        events.sort_by_key(Event::at);
-        let mut merged = MemoryRecorder::new();
-        for event in events {
-            merged.record(event);
-        }
-        merged
-    }
 }
 
 impl Recorder for MemoryRecorder {
@@ -209,7 +184,7 @@ impl Recorder for MemoryRecorder {
     /// never grows the fixed-capacity chunk). Order and content are
     /// exactly those of per-event [`Recorder::record`] calls.
     #[inline]
-    fn record_batch(&mut self, mut events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, mut events: impl Iterator<Item = Event> + Clone) {
         loop {
             if self.used == 0 || self.chunks[self.used - 1].len() == CHUNK {
                 // Pull one event before opening a chunk so an exhausted
@@ -250,7 +225,7 @@ impl<R: Recorder> Recorder for &mut R {
     }
 
     #[inline]
-    fn record_batch(&mut self, events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
         (**self).record_batch(events);
     }
 
@@ -262,6 +237,79 @@ impl<R: Recorder> Recorder for &mut R {
     #[inline]
     fn wants_window(&self, wait: Duration) -> bool {
         (**self).wants_window(wait)
+    }
+}
+
+/// A sink nobody asked for: `None` records nothing and wants nothing,
+/// so a fan-out can carry optional artifacts without a type per subset.
+impl<R: Recorder> Recorder for Option<R> {
+    const ENABLED: bool = R::ENABLED;
+
+    #[inline]
+    fn record(&mut self, event: Event) {
+        if let Some(rec) = self {
+            rec.record(event);
+        }
+    }
+
+    #[inline]
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
+        if let Some(rec) = self {
+            rec.record_batch(events);
+        }
+    }
+
+    #[inline]
+    fn wants_background(&self) -> bool {
+        self.as_ref().is_some_and(R::wants_background)
+    }
+
+    #[inline]
+    fn wants_window(&self, wait: Duration) -> bool {
+        self.as_ref().is_some_and(|rec| rec.wants_window(wait))
+    }
+}
+
+/// The fan-out: every event goes to both halves, so one run feeds any
+/// number of sinks (nest pairs for more than two). Each appetite is the
+/// OR over the enabled halves: the engine builds an event if either
+/// half wants it. A half that declines background events may then
+/// receive them anyway, which the [`Recorder::wants_background`]
+/// contract already covers — a declining recorder discards them — so
+/// each half ends with exactly what it would record alone.
+impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    #[inline]
+    fn record(&mut self, event: Event) {
+        if A::ENABLED {
+            self.0.record(event);
+        }
+        if B::ENABLED {
+            self.1.record(event);
+        }
+    }
+
+    /// Both halves get the whole batch, so each keeps its own bulk path
+    /// (the memory recorder's chunked append among them).
+    #[inline]
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
+        if A::ENABLED {
+            self.0.record_batch(events.clone());
+        }
+        if B::ENABLED {
+            self.1.record_batch(events);
+        }
+    }
+
+    #[inline]
+    fn wants_background(&self) -> bool {
+        (A::ENABLED && self.0.wants_background()) || (B::ENABLED && self.1.wants_background())
+    }
+
+    #[inline]
+    fn wants_window(&self, wait: Duration) -> bool {
+        (A::ENABLED && self.0.wants_window(wait)) || (B::ENABLED && self.1.wants_window(wait))
     }
 }
 
@@ -407,54 +455,6 @@ mod tests {
         assert_eq!(rec.len(), 0);
     }
 
-    fn restart_at(page: u64, nanos: u64) -> Event {
-        Event::Restart {
-            node: NodeId::new(0),
-            page,
-            at: SimTime::from_nanos(nanos),
-            wait: gms_units::Duration::ZERO,
-        }
-    }
-
-    #[test]
-    fn merge_orders_by_timestamp_then_arena() {
-        let mut a = MemoryRecorder::new();
-        a.record(restart_at(0, 10));
-        a.record(restart_at(1, 30));
-        a.record(restart_at(2, 30));
-        let mut b = MemoryRecorder::new();
-        b.record(restart_at(3, 20));
-        b.record(restart_at(4, 30));
-        let merged = MemoryRecorder::merge([a, b]);
-        let pages: Vec<u64> = merged
-            .iter()
-            .map(|e| match e {
-                Event::Restart { page, .. } => *page,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        // 10 < 20 < 30; at 30 arena order (a before b) then emission
-        // order within a.
-        assert_eq!(pages, [0, 3, 1, 2, 4]);
-    }
-
-    #[test]
-    fn merge_of_one_arena_is_the_identity() {
-        let mut rec = MemoryRecorder::new();
-        for i in 0..(CHUNK + 9) {
-            // Equal timestamps: only stability preserves this order.
-            rec.record(restart_at(i as u64, 5));
-        }
-        let before = rec.clone().into_events();
-        let merged = MemoryRecorder::merge([rec]);
-        assert_eq!(merged.into_events(), before);
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        assert!(MemoryRecorder::merge([]).is_empty());
-    }
-
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn noop_is_disabled() {
@@ -462,6 +462,27 @@ mod tests {
         assert!(MemoryRecorder::ENABLED);
         let mut rec = NoopRecorder;
         rec.record(sample());
+    }
+
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn fan_out_appetite_is_the_or_of_enabled_halves() {
+        assert!(!<(NoopRecorder, NoopRecorder)>::ENABLED);
+        assert!(<(NoopRecorder, MemoryRecorder)>::ENABLED);
+        assert!(<Option<MemoryRecorder>>::ENABLED);
+        // Two decliners decline; a disabled or absent half claims
+        // nothing, whatever its own default says.
+        let idle = (crate::HeatMap::new(), crate::FlightRecorder::new(1));
+        assert!(!idle.wants_background());
+        assert!(!idle.wants_window(gms_units::Duration::ZERO));
+        assert!(!(None::<MemoryRecorder>, NoopRecorder).wants_background());
+        // One eager half is enough, and every event reaches it.
+        let mut pair = (crate::HeatMap::new(), Some(MemoryRecorder::new()));
+        assert!(pair.wants_background());
+        assert!(pair.wants_window(gms_units::Duration::ZERO));
+        pair.record(sample());
+        pair.record_batch([sample(), sample()].into_iter());
+        assert_eq!(pair.1.map(|rec| rec.len()), Some(3));
     }
 
     #[test]
