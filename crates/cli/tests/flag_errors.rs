@@ -1,0 +1,67 @@
+//! Bad command-line values come back as a `CliError`, never a panic
+//! deep in the simulator, and the values next to them that are valid
+//! stay accepted.
+
+use gms_cli::execute;
+
+fn argv(line: &str) -> Vec<String> {
+    line.split_whitespace().map(str::to_owned).collect()
+}
+
+/// Runs `line`, turning a panic into a test failure that names the
+/// command line.
+fn outcome(line: &str) -> Result<String, String> {
+    std::panic::catch_unwind(|| execute(&argv(line)))
+        .unwrap_or_else(|_| panic!("`{line}` panicked instead of returning an error"))
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn bad_flag_values_are_errors_not_panics() {
+    let dir = std::env::temp_dir().join(format!("gms-flag-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("regular-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let metrics = dir.join("m.json");
+
+    let mut cases: Vec<String> = Vec::new();
+    for cmd in [
+        "run --app gdb --policy sp_1024",
+        "sweep --app gdb",
+        "cluster --nodes 4 --active 2",
+        "profile --app gdb --policy sp_1024",
+        "explain --app gdb --policy sp_1024",
+        "heat --app gdb --policy sp_1024",
+    ] {
+        for scale in ["0", "-1", "nan", "inf"] {
+            cases.push(format!("{cmd} --scale {scale}"));
+        }
+    }
+    cases.push("explain --app gdb --policy sp_1024 --scale 0.05 --window 0.1ns".into());
+    cases.push(format!(
+        "run --app gdb --policy sp_1024 --scale 0.05 --metrics-out {} --metrics-window 0.1ns",
+        metrics.display()
+    ));
+    cases.push("latency --subpage 0".into());
+    cases.push(format!(
+        "sweep --app gdb --scale 0.05 --jobs 1 --policies p_8192 --trace-dir {}/sub",
+        file.display()
+    ));
+
+    for line in &cases {
+        assert!(outcome(line).is_err(), "`{line}` must be rejected");
+    }
+    // Accepted before the checks were added, and still accepted.
+    for line in [
+        "latency --subpage 3",
+        "run --app gdb --policy sp_1024 --scale 1e-300",
+        "run --app gdb --policy sp_1024 --scale 0.05 --memory 0",
+        "explain --app gdb --policy sp_1024 --scale 0.05 --window 1ns",
+    ] {
+        if let Err(e) = outcome(line) {
+            panic!("`{line}` must still be accepted: {e}");
+        }
+    }
+    assert!(!metrics.exists(), "a rejected command wrote its output");
+    let _ = std::fs::remove_dir_all(&dir);
+}
