@@ -1,7 +1,6 @@
 //! Machine-readable run summaries.
 //!
-//! Hand-rolled JSON (the workspace's `serde` is an inert placeholder):
-//! [`run_summary_json`] and [`cluster_summary_json`] render
+//! Hand-rolled JSON: [`run_summary_json`] and [`cluster_summary_json`] render
 //! [`RunReport`]/[`ClusterReport`] into a stable schema
 //! (`gms-summary/v2`, which added the `reliability` section) that the
 //! CLI's `--summary-json` flag writes and its `check-trace` command

@@ -41,8 +41,7 @@
 //!   track per `(node, resource)`, spans for occupancies, instants for
 //!   fault-lifecycle events.
 //! * [`JsonValue`] — a minimal JSON parser used by tests and the CLI's
-//!   `check-trace` command to validate exported files offline (the
-//!   workspace's `serde` is an inert placeholder).
+//!   `check-trace` command to validate exported files offline.
 //! * [`attribute`] — critical-path latency attribution: splits every
 //!   fault's wait into queueing vs. service per `(node, resource)` hop
 //!   using the occupancy log's queue-entry/grant/release timestamps,

@@ -10,7 +10,6 @@ use gms_units::VirtAddr;
 /// requires pushing its contents to another node, while a clean page can
 /// simply be dropped (the remote copy is still valid).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessKind {
     /// A load.
     Read,
@@ -46,7 +45,6 @@ impl fmt::Display for AccessKind {
 /// assert!(!a.kind.is_write());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Access {
     /// The referenced address.
     pub addr: VirtAddr,

@@ -25,7 +25,6 @@ use crate::{Access, AccessKind};
 /// assert_eq!(run.last_addr(), VirtAddr::new(0x8000 + 127 * 8));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Run {
     start: VirtAddr,
     stride: i64,

@@ -25,7 +25,6 @@ use crate::{Run, TraceSource};
 /// assert_eq!(stats.distinct_pages, 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceStats {
     /// Total number of references.
     pub total_refs: u64,

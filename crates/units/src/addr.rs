@@ -19,7 +19,6 @@ use crate::Bytes;
 /// assert_eq!(format!("{a}"), "0x100002345");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {

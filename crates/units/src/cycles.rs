@@ -22,7 +22,6 @@ use crate::Duration;
 /// assert_eq!(t.as_nanos(), 195);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -76,7 +75,6 @@ impl fmt::Display for Cycles {
 
 /// A processor clock rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockRate {
     hz: u64,
 }

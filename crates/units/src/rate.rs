@@ -14,7 +14,6 @@ use crate::{Bytes, Duration};
 /// assert_eq!(ether.time_for(Bytes::new(1250)), Duration::from_millis(1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BytesPerSec(u64);
 
 impl BytesPerSec {
