@@ -4,16 +4,16 @@
 //! policy over a pre-materialized gdb trace, the wall-clock of the
 //! paper-default sweep grid serially vs. on [`gms_bench::jobs`] workers,
 //! a multi-node cluster cell (four active nodes, eager 1K, shared
-//! network) with its aggregate wire utilization, and a 64-node
-//! thread-scaling cell (serial scheduler vs. `jobs()` worker threads).
+//! network) with its aggregate wire utilization, and a 64-node cluster
+//! cell with 16 active nodes.
 //! Every timed variant runs once per round in one fixed rotation
 //! (median of [`ROUNDS`]), so slow drift hits all cells equally.
 //! Results print as a table and are written to `BENCH_engine.json` at
 //! the repository root so regressions are diffable across commits —
 //! CI's perf gate runs this bench and `gms-sim diff-bench`es the fresh
 //! file against the committed baseline. Parallel wall-clock cells
-//! (`jobs*`, `threads*`, `speedup`) are informational: they track the
-//! host's core count, not the code.
+//! (`jobs*`, `speedup`) are informational: they track the host's core
+//! count, not the code.
 //!
 //! `GMS_SCALE` shrinks the trace, `GMS_JOBS` pins the worker count,
 //! and `GMS_BENCH_OUT` redirects the JSON output (so the CI gate can
@@ -176,15 +176,14 @@ fn main() {
     // over a shared 7-node network, eager 1K.
     const CLUSTER_NODES: u32 = 7;
     const CLUSTER_ACTIVE: usize = 4;
-    let cluster_config = |nodes: u32, threads: u32| {
+    let cluster_config = |nodes: u32| {
         SimConfig::builder()
             .policy(FetchPolicy::eager(SubpageSize::S1K))
             .memory(MemoryConfig::Half)
             .cluster_nodes(nodes)
-            .threads(threads)
             .build()
     };
-    let cluster_sim = ClusterSim::new(cluster_config(CLUSTER_NODES, 1));
+    let cluster_sim = ClusterSim::new(cluster_config(CLUSTER_NODES));
     let cluster_apps = vec![app.clone(); CLUSTER_ACTIVE];
     let cluster_warm = cluster_sim.run(&cluster_apps);
     let cluster_refs: u64 = cluster_warm.nodes.iter().map(|r| r.total_refs).sum();
@@ -250,25 +249,12 @@ fn main() {
     let heat_regions = heat_rec.regions().len();
     assert!(heat_regions > 0, "cluster cell must touch some regions");
 
-    // Thread-scaling cell: a 64-node cluster with 16 active nodes,
-    // serial reference scheduler vs. `jobs()` worker threads. The
-    // threaded wall-clock is an environment fact (it tracks the host's
-    // core count), so only the serial cell is gated; the threaded cell
-    // and its speedup ride along informationally.
+    // Scaling cell: a 64-node cluster with 16 active nodes.
     const BIG_NODES: u32 = 64;
     const BIG_ACTIVE: usize = 16;
-    let threads = u32::try_from(parallel_jobs).unwrap_or(1).max(1);
-    let big_serial_sim = ClusterSim::new(cluster_config(BIG_NODES, 1));
-    let big_threaded_sim = ClusterSim::new(cluster_config(BIG_NODES, threads));
+    let big_serial_sim = ClusterSim::new(cluster_config(BIG_NODES));
     let big_apps = vec![app.clone(); BIG_ACTIVE];
-    // Warm both variants and pin the tentpole property where the perf
-    // numbers are made: thread count never changes the report.
     let big_warm = big_serial_sim.run(&big_apps);
-    assert_eq!(
-        big_warm,
-        big_threaded_sim.run(&big_apps),
-        "parallel scheduler diverged from the serial reference"
-    );
 
     let mut policy_times = vec![Vec::with_capacity(ROUNDS); policies.len()];
     let mut adaptive_times = vec![Vec::with_capacity(ROUNDS); adaptive_policies.len()];
@@ -279,7 +265,6 @@ fn main() {
     let mut cluster_times = Vec::with_capacity(ROUNDS);
     let mut replicated_times = Vec::with_capacity(ROUNDS);
     let mut big_serial_times = Vec::with_capacity(ROUNDS);
-    let mut big_threaded_times = Vec::with_capacity(ROUNDS);
     let time = |acc: &mut Vec<f64>, run: &mut dyn FnMut()| {
         let start = Instant::now();
         run();
@@ -312,9 +297,6 @@ fn main() {
         });
         time(&mut big_serial_times, &mut || {
             std::hint::black_box(big_serial_sim.run(&big_apps));
-        });
-        time(&mut big_threaded_times, &mut || {
-            std::hint::black_box(big_threaded_sim.run(&big_apps));
         });
     }
     for (s, times) in samples.iter_mut().zip(&mut policy_times) {
@@ -388,7 +370,6 @@ fn main() {
     let replicated_secs = median(&mut replicated_times);
     let flight_secs = median(&mut flight_times);
     let big_serial_secs = median(&mut big_serial_times);
-    let big_threaded_secs = median(&mut big_threaded_times);
 
     let mut table = Table::new(
         &format!("Engine throughput (gdb trace, 1/2-mem, scale {})", scale()),
@@ -490,11 +471,8 @@ fn main() {
     );
     println!(
         "cluster scaling ({BIG_ACTIVE} active of {BIG_NODES} nodes, sp_1024): \
-         serial {:.2} ms/run, {threads} thread(s) {:.2} ms/run ({:.2}x), \
-         wire util {:.1}%",
+         serial {:.2} ms/run, wire util {:.1}%",
         big_serial_secs * 1e3,
-        big_threaded_secs * 1e3,
-        big_serial_secs / big_threaded_secs,
         big_warm.net.wire_utilization * 100.0
     );
 
@@ -684,15 +662,6 @@ fn main() {
     json.push_str(&format!(
         "    \"serial_ms_per_run\": {:.3},\n",
         big_serial_secs * 1e3
-    ));
-    json.push_str(&format!("    \"threads\": {threads},\n"));
-    json.push_str(&format!(
-        "    \"threads_ms_per_run\": {:.3},\n",
-        big_threaded_secs * 1e3
-    ));
-    json.push_str(&format!(
-        "    \"speedup\": {:.3},\n",
-        big_serial_secs / big_threaded_secs
     ));
     json.push_str(&format!(
         "    \"wire_utilization\": {:.4}\n",

@@ -82,7 +82,7 @@ USAGE:
               [--heat-out <path> [--regions <pages>]]
   gms-sim cluster --nodes <k> --active <a> [--app <name>] [--policy <label>]
               [--memory full|half|quarter|<frames>] [--scale <f>]
-              [--threads <n>] [--net atm|ethernet|fast4|fast16]
+              [--net atm|ethernet|fast4|fast16]
               [--replacement lru|fifo|clock|random2]
               [--replicas <k>] [--repair-rate <bytes/s>]
               [--max-fetch-attempts <n>] [--max-putpage-attempts <n>]
@@ -98,13 +98,13 @@ USAGE:
   gms-sim explain --app <name> --policy <label> [--worst <k>] [--slo <dur>]
               [--window <dur>] [--memory full|half|quarter|<frames>] [--scale <f>]
               [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a> [--threads <n>]]
+              [--nodes <k> --active <a>]
               [--json <path>] [--trace-out <path>]
   gms-sim heat --app <name> --policy <label> [--by region|page|node]
               [--regions <pages>] [--top <n>]
               [--memory full|half|quarter|<frames>] [--scale <f>]
               [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a> [--threads <n>]]
+              [--nodes <k> --active <a>]
               [--json <path>] [--perfetto-out <path>]
   gms-sim diff-trace <a.summary.json> <b.summary.json> [--tolerance <pct>] [--full]
   gms-sim diff-bench <a.json> <b.json> [--tolerance <pct>]
@@ -119,10 +119,7 @@ available cores); the reports are identical to a serial run.
 Cluster runs replay the app (default: gdb, eager 1 KB, 1/2 memory) on
 each of the <a> active nodes at once; the remaining nodes serve as idle
 memory hosts, and every transfer contends on the shared wires and
-serving-node CPU/DMA. --threads <n> runs the node event loops on up to
-<n> worker threads under a conservative scheduler; the report is
-byte-identical whatever the thread count (default: 1, the serial
-reference).
+serving-node CPU/DMA.
 
 --replicas <k> keeps k copies of every evicted page on k distinct idle
 nodes (default 1, the paper's single-copy global memory). With k >= 2 a
@@ -612,10 +609,10 @@ struct Session {
 
 impl Session {
     /// The one parser of the simulation flags: app, policy, memory,
-    /// scale, net, replacement, pal, retry, nodes/active/threads,
-    /// replicas and fault plan. Every value is checked here, so a bad
-    /// flag is a [`CliError`], never a panic in the engine. A flag the
-    /// command does not take is left for [`Args::finish`] to refuse.
+    /// scale, net, replacement, pal, retry, nodes/active, replicas and
+    /// fault plan. Every value is checked here, so a bad flag is a
+    /// [`CliError`], never a panic in the engine. A flag the command
+    /// does not take is left for [`Args::finish`] to refuse.
     fn parse(args: &mut Args, sim: Sim) -> Result<Session, CliError> {
         let cluster = sim == Sim::Cluster;
         let app = take_app(args, cluster)?;
@@ -647,13 +644,6 @@ impl Session {
             },
         };
         let topology = topology.map(|(n, a)| parse_topology(&n, &a)).transpose()?;
-        let threads = match sim {
-            Sim::Run | Sim::Profile => 1,
-            _ => args.count("--threads", 1)?,
-        };
-        if topology.is_none() && threads != 1 {
-            return Err(err("--threads only applies to cluster runs (--nodes)"));
-        }
         let mut config = SimConfig {
             policy,
             memory,
@@ -661,7 +651,6 @@ impl Session {
             replacement,
             access_cost,
             retry,
-            threads,
             ..SimConfig::default()
         };
         if let Some((nodes, active)) = topology {
@@ -683,7 +672,7 @@ impl Session {
     /// Runs the app on every active node, recording into `sinks`: the
     /// CLI's one call into the simulator. A one-app cluster run is
     /// byte-identical to the serial simulator's.
-    fn run<R: Recorder + Send>(&self, sinks: &mut R) -> ClusterReport {
+    fn run<R: Recorder>(&self, sinks: &mut R) -> ClusterReport {
         let active = self.topology.map_or(1, |(_, active)| active as usize);
         let apps = vec![self.app.clone(); active];
         ClusterSim::new(self.config.clone()).run_recorded(&apps, sinks)
@@ -699,7 +688,11 @@ impl Session {
 }
 
 /// Extracts `--app` (gdb by default when `optional`) scaled by
-/// `--scale`, which must be positive and finite.
+/// `--scale`, which must be positive, finite and small enough that the
+/// scaled app's footprint in bytes and its pure-execution time in
+/// nanoseconds (its reference count times the per-reference cost) fit
+/// in a `u64`. The bound is half the `u64` range, which leaves room for
+/// the layout's base address and per-region rounding.
 fn take_app(args: &mut Args, optional: bool) -> Result<AppProfile, CliError> {
     let app = match args.take_value("--app") {
         Some(name) => parse_app(&name)?,
@@ -709,6 +702,14 @@ fn take_app(args: &mut Args, optional: bool) -> Result<AppProfile, CliError> {
     let scale: f64 = args.num("--scale", 1.0)?;
     if !(scale > 0.0 && scale.is_finite()) {
         return Err(err(format!("--scale {scale} must be positive and finite")));
+    }
+    let exec = SimConfig::default().exec_time(app.target_refs()).as_nanos();
+    let largest = app.footprint().get().max(exec) as f64 * scale;
+    if largest >= 2f64.powi(63) {
+        return Err(err(format!(
+            "--scale {scale} makes {} too large to simulate",
+            app.name()
+        )));
     }
     Ok(app.scaled(scale))
 }
@@ -732,14 +733,25 @@ fn parse_topology(nodes: &str, active: &str) -> Result<(u32, u32), CliError> {
 
 /// Parses a `--fault-plan` spec. Percentage times are taken relative to
 /// the app's pure-execution time (references × ns/ref), a deterministic
-/// horizon that needs no pilot run.
+/// horizon that needs no pilot run. Every node the plan crashes,
+/// recovers or degrades must be in the configured cluster.
 fn parse_fault_plan(
     spec: &str,
     config: &SimConfig,
     app: &AppProfile,
 ) -> Result<FaultPlan, CliError> {
     let horizon = config.exec_time(app.target_refs());
-    FaultPlan::parse(spec, Some(horizon)).map_err(|e| err(format!("bad --fault-plan: {e}")))
+    let plan =
+        FaultPlan::parse(spec, Some(horizon)).map_err(|e| err(format!("bad --fault-plan: {e}")))?;
+    let nodes = config.cluster_nodes;
+    let crashed = plan.crashes.iter().map(|e| e.node);
+    let mut named = crashed.chain(plan.degrades.iter().map(|w| w.node));
+    if let Some(node) = named.find(|node| node.index() >= nodes) {
+        return Err(err(format!(
+            "bad --fault-plan: {node} is outside the {nodes}-node cluster"
+        )));
+    }
+    Ok(plan)
 }
 
 /// Extracts the retry knobs shared by `run` and `cluster`. Every flag
@@ -2007,16 +2019,13 @@ fn trace_cells(doc: &JsonValue) -> Result<BTreeMap<String, f64>, CliError> {
 /// a 67% relative delta on an absolute drift the ms cells bound at a
 /// few percent), and environment facts like the worker count that
 /// legitimately differ between a laptop baseline and a CI runner
-/// (`jobs`, `threads` — and with them the thread-scaling wall-clock
-/// cells, whose values depend entirely on how many cores the host
-/// offers).
-const INFORMATIONAL_CELLS: [&str; 8] = [
+/// (`jobs` — and with it the sweep-scaling wall-clock cell, whose
+/// value depends entirely on how many cores the host offers).
+const INFORMATIONAL_CELLS: [&str; 6] = [
     "overhead_pct",
     "speedup",
     "jobs",
     "jobs_secs",
-    "threads",
-    "threads_ms_per_run",
     // The replicated-cluster wall-clock and its derived ratio: same
     // treatment as the other new timing cells and ratios above. The
     // section's `replica_writes` and `sim_makespan_ms` leaves are
@@ -2812,14 +2821,14 @@ mod tests {
     fn simulating_commands_take_only_their_own_flags() {
         // The shared parser takes a simulation flag only for the
         // commands that document it: retry knobs on run and cluster,
-        // replicas on cluster, --pal off cluster, --threads on the
-        // multi-node runs of cluster, explain and heat.
+        // replicas on cluster, --pal off cluster, and --threads on none.
         let serial = "--app gdb --policy sp_1024 --scale 0.05";
         let mut lines = vec![
             format!("run {serial} --replicas 2"),
             format!("run {serial} --repair-rate 1000"),
             "cluster --nodes 5 --active 2 --scale 0.05 --pal".to_owned(),
             format!("profile {serial} --nodes 5 --active 2 --threads 2"),
+            "cluster --nodes 5 --active 2 --scale 0.05 --threads 2".to_owned(),
         ];
         for cmd in ["profile", "explain", "heat"] {
             for flag in [
@@ -2892,33 +2901,6 @@ mod tests {
         // --app is optional: the default workload is gdb.
         let out = execute(&argv("cluster --nodes 4 --active 2 --scale 0.05")).unwrap();
         assert!(out.contains("2 active node(s)"), "{out}");
-    }
-
-    #[test]
-    fn cluster_threads_flag_is_output_invariant() {
-        // The tentpole's CLI face: the same cluster run under 1, 2 and
-        // 8 worker threads prints the identical report.
-        let serial = execute(&argv(
-            "cluster --nodes 6 --active 3 --app gdb --scale 0.05 --threads 1",
-        ))
-        .unwrap();
-        for threads in [2, 8] {
-            let parallel = execute(&argv(&format!(
-                "cluster --nodes 6 --active 3 --app gdb --scale 0.05 --threads {threads}"
-            )))
-            .unwrap();
-            assert_eq!(serial, parallel, "--threads {threads} diverged");
-        }
-        // Omitting the flag means the serial reference.
-        let default =
-            execute(&argv("cluster --nodes 6 --active 3 --app gdb --scale 0.05")).unwrap();
-        assert_eq!(serial, default);
-    }
-
-    #[test]
-    fn cluster_threads_flag_validates() {
-        assert!(execute(&argv("cluster --nodes 4 --active 2 --threads 0")).is_err());
-        assert!(execute(&argv("cluster --nodes 4 --active 2 --threads banana")).is_err());
     }
 
     #[test]
@@ -3606,21 +3588,13 @@ mod tests {
     fn cluster_explain_reports_every_node_and_window() {
         let out = execute(&argv(
             "explain --app gdb --policy sp_1024 --scale 0.1 --nodes 5 --active 2 \
-             --threads 2 --worst 2 --window 20ms --slo 500us",
+             --worst 2 --window 20ms --slo 500us",
         ))
         .unwrap();
         assert!(out.contains("5-node cluster, 2 active"), "{out}");
         assert!(out.contains("node 0:"), "{out}");
         assert!(out.contains("node 1:"), "{out}");
         assert!(out.contains("windows"), "{out}");
-        // The same explain under different thread counts prints the
-        // identical report — exemplar selection is deterministic.
-        let serial = execute(&argv(
-            "explain --app gdb --policy sp_1024 --scale 0.1 --nodes 5 --active 2 \
-             --worst 2 --window 20ms --slo 500us",
-        ))
-        .unwrap();
-        assert_eq!(serial, out, "thread count changed the exemplar set");
     }
 
     #[test]
@@ -3790,15 +3764,6 @@ mod tests {
         let trace = std::fs::read_to_string(&counters).unwrap();
         assert!(trace.contains("wire-utilization"), "{trace}");
         assert!(trace.contains("hot-region"), "{trace}");
-        // The identical command under worker threads prints the same
-        // report and the same document bytes.
-        let threaded = execute(&argv(&format!("{cmd} --threads 4"))).unwrap();
-        assert_eq!(threaded, out, "thread count changed the heat report");
-        assert_eq!(
-            std::fs::read_to_string(&json).unwrap(),
-            doc,
-            "thread count changed the heat document"
-        );
         let _ = std::fs::remove_file(&json);
         let _ = std::fs::remove_file(&counters);
     }

@@ -33,7 +33,7 @@ fn bad_flag_values_are_errors_not_panics() {
         "explain --app gdb --policy sp_1024",
         "heat --app gdb --policy sp_1024",
     ] {
-        for scale in ["0", "-1", "nan", "inf"] {
+        for scale in ["0", "-1", "nan", "inf", "1e18", "1e300"] {
             cases.push(format!("{cmd} --scale {scale}"));
         }
     }
@@ -42,6 +42,27 @@ fn bad_flag_values_are_errors_not_panics() {
         "run --app gdb --policy sp_1024 --scale 0.05 --metrics-out {} --metrics-window 0.1ns",
         metrics.display()
     ));
+    let cluster = "cluster --nodes 5 --active 2 --scale 0.05 --fault-plan";
+    let run = "run --app gdb --policy sp_1024 --scale 0.05 --fault-plan";
+    for plan in [
+        // Nodes outside the cluster: 5 nodes here, the default 4 for run.
+        "crash=n9@10%",
+        "recover=n5@10%",
+        "degrade=n7@0%..100%x2",
+        // Factors that overflow a duration, or that NaN would make free.
+        "degrade=n2@0%..100%xinf",
+        "degrade=n2@0%..100%x1e15",
+        "degrade=n2@0%..100%xnan",
+        "degrade=n2@0%..100%x1e5,degrade=n2@0%..100%x1e5,degrade=n2@0%..100%x1e5",
+        // Times that an unchecked cast would read as 0 ns or as never.
+        "crash=n3@-5%",
+        "crash=n3@nanms",
+        "crash=n3@infs",
+    ] {
+        cases.push(format!("{cluster} {plan}"));
+    }
+    cases.push(format!("{run} crash=n9@10%"));
+    cases.push(format!("{run} degrade=n4@0%..100%x2"));
     cases.push("latency --subpage 0".into());
     cases.push(format!(
         "sweep --app gdb --scale 0.05 --jobs 1 --policies p_8192 --trace-dir {}/sub",
@@ -57,6 +78,10 @@ fn bad_flag_values_are_errors_not_panics() {
         "run --app gdb --policy sp_1024 --scale 1e-300",
         "run --app gdb --policy sp_1024 --scale 0.05 --memory 0",
         "explain --app gdb --policy sp_1024 --scale 0.05 --window 1ns",
+        "cluster --nodes 5 --active 2 --scale 0.05 --fault-plan crash=n3@0ns",
+        "run --app gdb --policy sp_1024 --scale 0.05 --fault-plan crash=n1@3600s",
+        "cluster --nodes 5 --active 2 --scale 0.05 --fault-plan degrade=n2@0%..100%x2",
+        "cluster --nodes 5 --active 2 --scale 0.05 --fault-plan degrade=n2@0%..100%x1000",
     ] {
         if let Err(e) = outcome(line) {
             panic!("`{line}` must still be accepted: {e}");

@@ -104,7 +104,7 @@ const MATRIX: &[(&str, &str)] = &[
     ),
     (
         "cluster-threads",
-        "cluster --nodes 6 --active 3 --app gdb --scale 0.05 --threads 2",
+        "cluster --nodes 6 --active 3 --app gdb --scale 0.05",
     ),
     (
         "cluster-replicas",
@@ -154,7 +154,7 @@ const MATRIX: &[(&str, &str)] = &[
     ),
     (
         "explain-cluster",
-        "explain --app gdb --policy sp_1024 --scale 0.05 --nodes 5 --active 2 --threads 2 \
+        "explain --app gdb --policy sp_1024 --scale 0.05 --nodes 5 --active 2 \
          --worst 2 --window 10ms --json {d}/explain-cl.explain.json \
          --trace-out {d}/explain-cl.trace.json",
     ),
@@ -185,7 +185,7 @@ const MATRIX: &[(&str, &str)] = &[
     ),
     (
         "heat-cluster-node",
-        "heat --app gdb --policy sp_1024 --scale 0.05 --nodes 5 --active 2 --threads 2 \
+        "heat --app gdb --policy sp_1024 --scale 0.05 --nodes 5 --active 2 \
          --by node --fault-plan crash=n4@30% --json {d}/heat-cl-node.heat.json \
          --perfetto-out {d}/heat-cl-node.counters.json",
     ),

@@ -130,7 +130,7 @@ pub enum ReplacementKind {
 impl ReplacementKind {
     /// Instantiates the policy.
     #[must_use]
-    pub fn build(self) -> Box<dyn gms_mem::ReplacementPolicy + Send> {
+    pub fn build(self) -> Box<dyn gms_mem::ReplacementPolicy> {
         match self {
             ReplacementKind::Lru => Box::new(gms_mem::Lru::new()),
             ReplacementKind::Fifo => Box::new(gms_mem::Fifo::new()),
@@ -205,12 +205,6 @@ pub struct SimConfig {
     /// `Some(empty)` both leave the run byte-identical to a fault-free
     /// one: an empty plan is never installed, so no RNG is ever drawn.
     pub fault_plan: Option<FaultPlan>,
-    /// Worker threads for cluster runs. `1` (the default) uses the
-    /// single-threaded reference scheduler; larger values run node
-    /// event loops on up to that many OS threads under the conservative
-    /// parallel scheduler. Reports are byte-identical for every value —
-    /// the thread count is purely a wall-clock knob.
-    pub threads: u32,
     /// Remote-transfer retry knobs. The defaults reproduce the engine's
     /// original hard-coded constants byte-for-byte.
     pub retry: RetryConfig,
@@ -252,7 +246,6 @@ impl Default for SimConfig {
             access_cost: AccessCost::default(),
             replacement: ReplacementKind::default(),
             fault_plan: None,
-            threads: 1,
             retry: RetryConfig::default(),
             replication: ReplicationConfig::default(),
         }
@@ -337,20 +330,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.config.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the worker-thread count for cluster runs. `1` selects the
-    /// single-threaded reference scheduler; reports are byte-identical
-    /// for every value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn threads(mut self, threads: u32) -> Self {
-        assert!(threads >= 1, "need at least one worker thread");
-        self.config.threads = threads;
         self
     }
 
@@ -442,18 +421,6 @@ mod tests {
     #[should_panic(expected = "non-zero time")]
     fn zero_ref_cost_panics() {
         let _ = SimConfig::builder().ns_per_ref(0);
-    }
-
-    #[test]
-    fn threads_default_to_serial() {
-        assert_eq!(SimConfig::default().threads, 1);
-        assert_eq!(SimConfig::builder().threads(8).build().threads, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker thread")]
-    fn zero_threads_panics() {
-        let _ = SimConfig::builder().threads(0);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! drivers share — the network and the global memory service — lives in
 //! [`ClusterCtx`]. [`Simulator`] runs one driver to completion (the
 //! single-active-node case); `ClusterSim` drives several over the same
-//! shared context under the conservative schedulers of [`crate::sched`],
-//! serially or on a worker-thread pool, with byte-identical results
-//! either way.
+//! shared context, committing their shared sections in canonical
+//! `(park clock, node id)` order.
 
 use gms_cluster::Gms;
 use gms_mem::{
@@ -140,7 +139,7 @@ impl Simulator {
     /// recording call site compiles away and the report is byte-identical
     /// to [`run`](Simulator::run)'s (the recorder is a write-only side
     /// channel — it never feeds back into timing).
-    pub fn run_recorded<R: Recorder + Send>(&self, app: &AppProfile, rec: &mut R) -> RunReport {
+    pub fn run_recorded<R: Recorder>(&self, app: &AppProfile, rec: &mut R) -> RunReport {
         let mut source = app.source();
         self.run_trace_recorded(&mut *source, app.footprint(), LAYOUT_BASE, rec)
     }
@@ -159,7 +158,7 @@ impl Simulator {
     /// Panics if `footprint` is zero.
     pub fn run_trace(
         &self,
-        source: &mut (dyn TraceSource + Send),
+        source: &mut dyn TraceSource,
         footprint: gms_units::Bytes,
         base: VirtAddr,
     ) -> RunReport {
@@ -172,9 +171,9 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `footprint` is zero.
-    pub fn run_trace_recorded<R: Recorder + Send>(
+    pub fn run_trace_recorded<R: Recorder>(
         &self,
-        source: &mut (dyn TraceSource + Send),
+        source: &mut dyn TraceSource,
         footprint: gms_units::Bytes,
         base: VirtAddr,
         rec: &mut R,
@@ -397,10 +396,10 @@ impl<'r, R: Recorder> ClusterCtx<'r, R> {
 
     /// Sends at most one queued background repair copy, if the pacer
     /// allows it at `now`. Called from [`apply_fault_schedule`], whose
-    /// invocation sequence is canonical across thread counts (shared
-    /// sections commit in ascending `(park clock, node id)` order), so
-    /// the repair traffic — real transfers on the shared network,
-    /// contending with foreground faults — is deterministic too. With
+    /// invocation sequence is canonical (shared sections commit in
+    /// ascending `(park clock, node id)` order), so the repair traffic —
+    /// real transfers on the shared network, contending with foreground
+    /// faults — is deterministic too. With
     /// the default single-copy config the queue is always empty and
     /// this is a no-op.
     ///
@@ -475,7 +474,7 @@ pub(crate) struct NodeDriver<'a> {
 
     frames: FramePool,
     table: PageTable,
-    lru: Box<dyn ReplacementPolicy + Send>,
+    lru: Box<dyn ReplacementPolicy>,
     events: EventCore,
     armed: FastMap<PageId, SubpageIndex>,
     /// The per-run policy engine planning whole-page faults. Static
@@ -585,16 +584,7 @@ impl<'a> NodeDriver<'a> {
     /// interact with the cluster, stashing it in `pending_run` ("parking"
     /// at the current clock), or when the trace ends. Returns whether
     /// the trace is exhausted.
-    ///
-    /// `progress` is invoked with the clock after each processed run so
-    /// a parallel scheduler can publish a conservative lower bound on
-    /// this node's next shared-section commit (the clock never runs
-    /// backwards, and the parked commit happens at the park clock).
-    pub fn advance_local(
-        &mut self,
-        source: &mut (dyn TraceSource + Send),
-        progress: &mut dyn FnMut(SimTime),
-    ) -> bool {
+    pub fn advance_local(&mut self, source: &mut dyn TraceSource) -> bool {
         loop {
             let run = match self.pending_run.take() {
                 Some(run) => run,
@@ -605,7 +595,6 @@ impl<'a> NodeDriver<'a> {
             };
             if self.run_is_local(run) {
                 self.process_run_local(run);
-                progress(self.clock);
             } else {
                 self.pending_run = Some(run);
                 return false;
@@ -613,11 +602,10 @@ impl<'a> NodeDriver<'a> {
         }
     }
 
-    /// Executes the parked run against the shared context. Only the
-    /// scheduler that granted this node the global minimum
-    /// `(park clock, node id)` may call this: shared-section commits
-    /// must happen in exactly that order for reports to be independent
-    /// of the thread count.
+    /// Executes the parked run against the shared context. Call this
+    /// only for the node holding the global minimum
+    /// `(park clock, node id)`: shared-section commits must happen in
+    /// exactly that order for reports to be deterministic.
     ///
     /// # Panics
     ///

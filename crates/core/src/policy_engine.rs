@@ -11,9 +11,9 @@
 //!
 //! # Determinism rules
 //!
-//! Cluster runs must stay byte-identical at every thread count, so an
-//! engine's state may be fed *only* from its own node's trace, in that
-//! node's execution order:
+//! Cluster runs must reproduce byte for byte, so an engine's state may
+//! be fed *only* from its own node's trace, in that node's execution
+//! order:
 //!
 //! * one engine per node, owned by the node driver — never shared;
 //! * observations arrive in the node's deterministic replay order
@@ -71,10 +71,7 @@ pub struct PlannedFault {
 }
 
 /// A per-run, per-node fault planner.
-///
-/// `Send` because cluster node drivers migrate across scheduler
-/// threads; the engine itself is never shared between nodes.
-pub trait PolicyEngine: Send {
+pub trait PolicyEngine {
     /// Feeds one observation from the owning node's history.
     fn observe(&mut self, event: PolicyEvent);
 

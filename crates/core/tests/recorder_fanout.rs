@@ -38,7 +38,7 @@ fn cases() -> Vec<(SimConfig, usize)> {
     vec![(serial, 1), (cluster, 2)]
 }
 
-fn run<R: Recorder + Send>(config: &SimConfig, active: usize, rec: &mut R) -> ClusterReport {
+fn run<R: Recorder>(config: &SimConfig, active: usize, rec: &mut R) -> ClusterReport {
     let apps = vec![apps::gdb().scaled(0.1); active];
     ClusterSim::new(config.clone()).run_recorded(&apps, rec)
 }

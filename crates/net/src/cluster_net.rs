@@ -247,13 +247,6 @@ impl ClusterNetwork {
         &self.params
     }
 
-    /// The conservative lookahead window for parallel schedulers
-    /// driving this network: see [`NetParams::lookahead`].
-    #[must_use]
-    pub fn lookahead(&self) -> gms_units::Duration {
-        self.params.lookahead()
-    }
-
     /// Number of nodes on the network.
     #[must_use]
     pub fn n_nodes(&self) -> u32 {

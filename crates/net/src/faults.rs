@@ -16,6 +16,14 @@
 use gms_units::{Duration, NodeId, SimTime};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+/// The largest cost multiplier a plan may apply at any instant, whether
+/// from one degrade window or from several that overlap in time. A
+/// million-fold slowdown already stretches a millisecond transfer past
+/// a quarter of an hour; a larger factor would push simulated times
+/// toward the `u64` nanosecond range. A link that should stop carrying
+/// traffic is a `crash`.
+const MAX_DEGRADE_FACTOR: f64 = 1e6;
+
 /// A latency-degradation window: every transfer touching `node` during
 /// `[from, until)` has its data-movement costs multiplied by `factor`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +34,7 @@ pub struct DegradeWindow {
     pub from: SimTime,
     /// Window end (exclusive).
     pub until: SimTime,
-    /// Cost multiplier (≥ 1.0).
+    /// Cost multiplier in `[1, 1e6]`.
     pub factor: f64,
 }
 
@@ -96,11 +104,13 @@ impl FaultPlan {
     /// * `crash=n<K>@<t>` — node K goes down at time t
     /// * `recover=n<K>@<t>` — node K comes back (empty) at time t
     /// * `degrade=n<K>@<t0>..<t1>x<f>` — node K's links cost f× during
-    ///   `[t0, t1)`
+    ///   `[t0, t1)`, for f in `[1, 1e6]`; windows that overlap in time
+    ///   may not multiply past that ceiling either
     ///
     /// Times take `ns`/`us`/`ms`/`s` suffixes, or `%` of `horizon` (the
     /// caller-supplied nominal run length; `%` is an error when
-    /// `horizon` is `None`).
+    /// `horizon` is `None`). A time must be a finite, non-negative
+    /// number of nanoseconds that fits in a `u64`.
     pub fn parse(spec: &str, horizon: Option<Duration>) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for field in spec.split(',').filter(|f| !f.is_empty()) {
@@ -144,8 +154,10 @@ impl FaultPlan {
                     let factor: f64 = factor
                         .parse()
                         .map_err(|_| format!("bad degrade factor `{factor}`"))?;
-                    if factor < 1.0 {
-                        return Err(format!("degrade factor {factor} below 1.0"));
+                    if !(1.0..=MAX_DEGRADE_FACTOR).contains(&factor) {
+                        return Err(format!(
+                            "degrade factor {factor} outside [1, {MAX_DEGRADE_FACTOR}]"
+                        ));
                     }
                     plan.degrades.push(DegradeWindow {
                         node,
@@ -155,6 +167,22 @@ impl FaultPlan {
                     });
                 }
                 other => return Err(format!("unknown fault-plan field `{other}`")),
+            }
+        }
+        // Factors are at least 1, so the stacked factor peaks at some
+        // window's start: checking each start bounds it everywhere.
+        for w in &plan.degrades {
+            let stacked: f64 = plan
+                .degrades
+                .iter()
+                .filter(|v| v.from <= w.from && w.from < v.until)
+                .map(|v| v.factor)
+                .product();
+            if stacked > MAX_DEGRADE_FACTOR {
+                return Err(format!(
+                    "degrade windows stack to factor {stacked} at {}ns, above {MAX_DEGRADE_FACTOR}",
+                    w.from.as_nanos()
+                ));
             }
         }
         plan.crashes
@@ -215,7 +243,9 @@ fn parse_node_at(value: &str, horizon: Option<Duration>) -> Result<(NodeId, SimT
     Ok((node, parse_time(at, horizon)?))
 }
 
-/// Parses a time with `ns`/`us`/`ms`/`s` suffix, or `%` of `horizon`.
+/// Parses a time with `ns`/`us`/`ms`/`s` suffix, or `%` of `horizon`,
+/// refusing one that is negative, NaN or beyond the `u64` nanosecond
+/// range.
 fn parse_time(value: &str, horizon: Option<Duration>) -> Result<SimTime, String> {
     let ns = if let Some(pct) = value.strip_suffix('%') {
         let pct: f64 = pct
@@ -223,7 +253,7 @@ fn parse_time(value: &str, horizon: Option<Duration>) -> Result<SimTime, String>
             .map_err(|_| format!("bad percentage `{value}`"))?;
         let horizon =
             horizon.ok_or_else(|| format!("`{value}`: no run horizon to take a percentage of"))?;
-        (horizon.as_nanos() as f64 * pct / 100.0) as u64
+        horizon.as_nanos() as f64 * pct / 100.0
     } else {
         let (digits, scale) = if let Some(d) = value.strip_suffix("ns") {
             (d, 1.0)
@@ -239,9 +269,12 @@ fn parse_time(value: &str, horizon: Option<Duration>) -> Result<SimTime, String>
         let digits: f64 = digits
             .parse()
             .map_err(|_| format!("bad time value `{value}`"))?;
-        (digits * scale) as u64
+        digits * scale
     };
-    Ok(SimTime::from_nanos(ns))
+    if !(0.0..u64::MAX as f64).contains(&ns) {
+        return Err(format!("time `{value}` is negative or out of range"));
+    }
+    Ok(SimTime::from_nanos(ns as u64))
 }
 
 /// A [`FaultPlan`] armed with its RNG: the object the network consults.
@@ -347,10 +380,21 @@ mod tests {
             "degrade=n1@5ms..20ms",
             "degrade=n1@20ms..5msx2",
             "degrade=n1@5ms..20msx0.5",
+            "degrade=n1@5ms..20msxnan",
+            "degrade=n1@5ms..20msxinf",
+            "degrade=n1@5ms..20msx1e15",
+            "degrade=n1@5ms..20msx1e3,degrade=n2@10ms..30msx1e4",
+            "crash=n2@-5ms",
+            "crash=n2@nanms",
+            "crash=n2@infs",
+            "crash=n2@1e30s",
             "frobnicate=1",
         ] {
             assert!(FaultPlan::parse(bad, None).is_err(), "accepted `{bad}`");
         }
+        // Windows that do not overlap in time never stack.
+        let apart = "degrade=n1@5ms..20msx1e6,degrade=n1@20ms..30msx1e6";
+        assert!(FaultPlan::parse(apart, None).is_ok());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   page wait; no window configured means one window spanning the
 //!   run). A candidate replaces the current minimum only when its wait
 //!   is *strictly* greater, and ties keep the incumbent, so the
-//!   retained set is a pure function of the event stream — the cluster
-//!   scheduler feeds recorders in canonical commit order at every
-//!   thread count, making exemplar sets thread-count-invariant.
+//!   retained set is a pure function of the event stream, which the
+//!   cluster simulator feeds in canonical commit order, so a rerun
+//!   retains the same exemplars.
 //! * Follow-on `Arrival` and `Stall` events attach to the retained
 //!   chain of the last fault on their `(node, page)` — mirroring how
 //!   [`attribute`](crate::attribute) targets stalls — so

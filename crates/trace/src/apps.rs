@@ -217,7 +217,7 @@ impl AppProfile {
     /// Builds a fresh trace source for this profile. Each call returns an
     /// identical, deterministic stream.
     #[must_use]
-    pub fn source(&self) -> Box<dyn TraceSource + Send> {
+    pub fn source(&self) -> Box<dyn TraceSource> {
         Box::new(self.build())
     }
 

@@ -11,12 +11,12 @@ use crate::{Run, TraceSource};
 /// faults; a *work* phase re-references resident data and produces few.
 pub struct Phase {
     name: &'static str,
-    source: Box<dyn TraceSource + Send>,
+    source: Box<dyn TraceSource>,
 }
 
 impl Phase {
     /// Wraps `source` as the phase called `name`.
-    pub fn new(name: &'static str, source: impl TraceSource + Send + 'static) -> Self {
+    pub fn new(name: &'static str, source: impl TraceSource + 'static) -> Self {
         Phase {
             name,
             source: Box::new(source),
