@@ -34,7 +34,7 @@ use gms_core::{
     MemoryConfig, PipelineStrategy, ReplacementKind, ReplicationConfig, RetryConfig, RunReport,
     SimConfig, Sweep, SUMMARY_SCHEMA, SUMMARY_SCHEMA_V3, TAIL_PERCENTILES, WAIT_PERCENTILES,
 };
-use gms_mem::{PageSize, SubpageSize};
+use gms_mem::{PageSize, SubpageMask, SubpageSize};
 use gms_net::{AccessPattern, NetParams, RecvOverhead, Timeline, TransferPlan};
 use gms_obs::{
     attribute, attribution_json, escape_json, heat_json, heat_perfetto, metrics_json,
@@ -273,13 +273,17 @@ pub fn parse_app(name: &str) -> Result<AppProfile, CliError> {
 /// Unknown labels or invalid sizes (sizes are validated here rather
 /// than passed through to the panicking constructors).
 pub fn parse_policy(label: &str) -> Result<FetchPolicy, CliError> {
+    // An 8 KB page holds at most `SubpageMask::MAX_WIDTH` subpages (one
+    // valid bit each), which puts the smallest subpage at 128 bytes.
+    let page = PageSize::P8K.bytes().get();
+    let smallest = page / u64::from(SubpageMask::MAX_WIDTH);
     let subpage = |s: &str| -> Result<SubpageSize, CliError> {
         let n: u64 = s.parse().map_err(|_| err(format!("bad size '{s}'")))?;
-        if n.is_power_of_two() && (64..=8192).contains(&n) {
+        if n.is_power_of_two() && (smallest..=page).contains(&n) {
             Ok(SubpageSize::new(Bytes::new(n)))
         } else {
             Err(err(format!(
-                "bad subpage size '{s}' (power of two in 64..=8192)"
+                "bad subpage size '{s}' (power of two in {smallest}..={page})"
             )))
         }
     };

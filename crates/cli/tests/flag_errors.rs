@@ -90,3 +90,49 @@ fn bad_flag_values_are_errors_not_panics() {
     assert!(!metrics.exists(), "a rejected command wrote its output");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn subpages_too_small_for_an_8k_page_are_refused() {
+    // An 8 KB page has room for 64 subpage valid bits, so 128 B is the
+    // smallest subpage; 64 B used to panic deep in the page geometry.
+    let labels = [
+        "sp_64",
+        "pl_64",
+        "pl_64_asc",
+        "pl_64_dbl",
+        "pl_64_half_mrecv",
+        "lazy_64",
+        "leap_64",
+        "indigo_64",
+    ];
+    let mut cases: Vec<String> = labels
+        .iter()
+        .map(|p| format!("run --app gdb --scale 0.02 --policy {p}"))
+        .collect();
+    for cmd in [
+        "cluster --nodes 4 --active 2 --scale 0.02",
+        "profile --app gdb --scale 0.02",
+        "explain --app gdb --scale 0.02",
+        "heat --app gdb --scale 0.02",
+    ] {
+        cases.push(format!("{cmd} --policy sp_64"));
+    }
+    cases.push("sweep --app gdb --scale 0.02 --jobs 1 --policies p_8192,sp_64".into());
+    for line in &cases {
+        match outcome(line) {
+            Ok(_) => panic!("`{line}` must be rejected"),
+            Err(e) => assert!(
+                e.contains("bad subpage size '64' (power of two in 128..=8192)"),
+                "`{line}`: {e}"
+            ),
+        }
+    }
+    for line in [
+        "run --app gdb --scale 0.02 --policy sp_128",
+        "run --app gdb --scale 0.02 --policy lazy_128",
+    ] {
+        if let Err(e) = outcome(line) {
+            panic!("`{line}` must still be accepted: {e}");
+        }
+    }
+}

@@ -127,8 +127,15 @@ pub(crate) fn run_cluster<R: Recorder>(
         .iter()
         .enumerate()
         .map(|(i, input)| {
-            let frames = cfg.memory.frames(input.footprint.div_ceil(page_bytes));
-            NodeDriver::new(cfg, geom, frames, NodeId::new(i as u32))
+            let pages = input.footprint.div_ceil(page_bytes);
+            let span = (geom.page_of(input.base), pages);
+            NodeDriver::new(
+                cfg,
+                geom,
+                cfg.memory.frames(pages),
+                span,
+                NodeId::new(i as u32),
+            )
         })
         .collect();
 

@@ -128,14 +128,18 @@ pub enum ReplacementKind {
 }
 
 impl ReplacementKind {
-    /// Instantiates the policy.
+    /// Instantiates the policy for a node whose footprint is the
+    /// `pages` pages from `first`: those index directly, any other page
+    /// through a hash map.
     #[must_use]
-    pub fn build(self) -> Box<dyn gms_mem::ReplacementPolicy> {
+    pub fn build(self, first: gms_mem::PageId, pages: u64) -> Box<dyn gms_mem::ReplacementPolicy> {
         match self {
-            ReplacementKind::Lru => Box::new(gms_mem::Lru::new()),
-            ReplacementKind::Fifo => Box::new(gms_mem::Fifo::new()),
-            ReplacementKind::Clock => Box::new(gms_mem::Clock::new()),
-            ReplacementKind::Random2 { seed } => Box::new(gms_mem::Random2::new(seed)),
+            ReplacementKind::Lru => Box::new(gms_mem::Lru::with_span(first, pages)),
+            ReplacementKind::Fifo => Box::new(gms_mem::Fifo::with_span(first, pages)),
+            ReplacementKind::Clock => Box::new(gms_mem::Clock::with_span(first, pages)),
+            ReplacementKind::Random2 { seed } => {
+                Box::new(gms_mem::Random2::with_span(seed, first, pages))
+            }
         }
     }
 

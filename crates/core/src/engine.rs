@@ -24,7 +24,7 @@
 
 use gms_cluster::Gms;
 use gms_mem::{
-    FramePool, Geometry, PageId, PageState, PageTable, PalEmulator, ReplacementPolicy,
+    FramePool, Geometry, PageId, PageMap, PageState, PageTable, PalEmulator, ReplacementPolicy,
     SubpageIndex, Tlb,
 };
 use gms_net::{
@@ -79,6 +79,27 @@ pub(crate) fn namespace_page(base: u64, page: PageId) -> PageId {
         page.get()
     );
     PageId::new(base + page.get())
+}
+
+/// The per-page segments of `run` in trace order: each page's first
+/// address and how many references stay on it. A stride-0 run is one
+/// segment; a sparse run (|stride| ≥ page size) is one per reference.
+fn segments(geom: Geometry, run: Run) -> impl Iterator<Item = (VirtAddr, u64)> {
+    let stride = run.stride();
+    let page_bytes = geom.page_size().bytes().get();
+    let mut rest = Some(run);
+    std::iter::from_fn(move || {
+        let run = rest?;
+        let offset = run.start().offset_in(geom.page_size().bytes()).get();
+        let in_page = match stride {
+            0 => run.count(),
+            1.. => (page_bytes - 1 - offset) / stride as u64 + 1,
+            _ => offset / stride.unsigned_abs() + 1,
+        };
+        let n = in_page.min(run.count());
+        rest = (n < run.count()).then(|| run.split_at(n).1);
+        Some((run.start(), n))
+    })
 }
 
 /// Backoff before retry `attempt + 1`: a `timeout / backoff_divisor`
@@ -476,20 +497,21 @@ pub(crate) struct NodeDriver<'a> {
     table: PageTable,
     lru: Box<dyn ReplacementPolicy>,
     events: EventCore,
-    armed: FastMap<PageId, SubpageIndex>,
+    armed: PageMap<SubpageIndex>,
     /// The per-run policy engine planning whole-page faults. Static
     /// policies carry a history-blind engine whose plans are
     /// byte-identical to [`FetchPolicy::plan_fault`].
     engine: Box<dyn crate::PolicyEngine>,
     /// Whether the engine is history-observing
     /// ([`FetchPolicy::is_adaptive`]): gates every observation hook so
-    /// static-policy runs skip them (and the exec batch fast path stays
-    /// available to them).
+    /// static-policy runs skip them. Adaptive runs take the exec batch
+    /// too: every batched segment reports its touches before its
+    /// recency touch, in trace order, as the slow path does.
     adaptive: bool,
     /// Outstanding prefetch predictions per page: bitmask of subpages
     /// fetched beyond the demanded one and not yet touched. The window
     /// closes at eviction; whatever is still set was moved for nothing.
-    predicted: FastMap<PageId, u32>,
+    predicted: PageMap<u32>,
     prefetched_subpages: u64,
     mispredicted_prefetch_bytes: u64,
     /// Which node served each resident remotely-fetched page; lazy
@@ -521,7 +543,16 @@ pub(crate) struct NodeDriver<'a> {
 }
 
 impl<'a> NodeDriver<'a> {
-    pub fn new(cfg: &'a SimConfig, geom: Geometry, frames: u64, node: NodeId) -> Self {
+    /// A driver for node `node` with `frames` page frames. `span` is the
+    /// node's footprint as `(first page, page count)`: its page table
+    /// and replacement policy index those pages directly.
+    pub fn new(
+        cfg: &'a SimConfig,
+        geom: Geometry,
+        frames: u64,
+        span: (PageId, u64),
+        node: NodeId,
+    ) -> Self {
         let disk_pattern = match cfg.policy {
             FetchPolicy::Disk { pattern } => pattern,
             _ => gms_net::AccessPattern::Random,
@@ -543,13 +574,13 @@ impl<'a> NodeDriver<'a> {
             putpage_overhead: Duration::ZERO,
             pending_run: None,
             frames: FramePool::new(frames),
-            table: PageTable::new(geom),
-            lru: cfg.replacement.build(),
+            table: PageTable::with_span(geom, span.0, span.1),
+            lru: cfg.replacement.build(span.0, span.1),
             events: EventCore::new(),
-            armed: FastMap::default(),
+            armed: PageMap::with_span(span.0, span.1),
             engine: cfg.policy.engine(),
             adaptive: cfg.policy.is_adaptive(),
-            predicted: FastMap::default(),
+            predicted: PageMap::with_span(span.0, span.1),
             prefetched_subpages: 0,
             mispredicted_prefetch_bytes: 0,
             served_by: FastMap::default(),
@@ -584,22 +615,34 @@ impl<'a> NodeDriver<'a> {
     /// interact with the cluster, stashing it in `pending_run` ("parking"
     /// at the current clock), or when the trace ends. Returns whether
     /// the trace is exhausted.
+    ///
+    /// While the driver is [quiescent](Self::exec_quiescent), local runs
+    /// skip the per-segment clock bookkeeping and their references join
+    /// one exec batch, credited to the clock once, before the node parks
+    /// or the trace ends. That is exact: a local run starts no transfer,
+    /// so quiescence, once true, holds until the park; and exec time is
+    /// additive.
     pub fn advance_local(&mut self, source: &mut dyn TraceSource) -> bool {
-        loop {
-            let run = match self.pending_run.take() {
-                Some(run) => run,
-                None => match source.next_run() {
-                    Some(run) => run,
-                    None => return true,
-                },
+        let mut batched: u64 = 0;
+        let exhausted = loop {
+            let Some(run) = self.pending_run.take().or_else(|| source.next_run()) else {
+                break true;
             };
-            if self.run_is_local(run) {
-                self.process_run_local(run);
+            let local = if batched > 0 || self.exec_quiescent() {
+                self.batch_local_run(run, &mut batched)
             } else {
+                self.run_is_local(run) && {
+                    self.process_run_local(run);
+                    true
+                }
+            };
+            if !local {
                 self.pending_run = Some(run);
-                return false;
+                break false;
             }
-        }
+        };
+        self.flush_exec_batch(&mut batched);
+        exhausted
     }
 
     /// Executes the parked run against the shared context. Call this
@@ -623,57 +666,82 @@ impl<'a> NodeDriver<'a> {
     /// Processing complete-resident segments never changes any page's
     /// residency, so a check up front holds for the whole run.
     fn run_is_local(&self, run: Run) -> bool {
-        let stride = run.stride();
-        let complete = |page| self.table.get(page).is_some_and(PageState::is_complete);
-        if stride == 0 {
-            return complete(self.geom.page_of(run.start()));
-        }
-        let mut rest = run;
-        loop {
-            let addr = rest.start();
-            if !complete(self.geom.page_of(addr)) {
+        segments(self.geom, run).all(|(addr, _)| {
+            self.table
+                .get(self.geom.page_of(addr))
+                .is_some_and(PageState::is_complete)
+        })
+    }
+
+    /// Adds a local run to a quiescent driver's exec batch, or returns
+    /// `false`, changing nothing, if the run is not local. A run whose
+    /// first and last references share a page — nearly every run —
+    /// costs one page-table probe, which checks completeness and sets
+    /// the dirty bit together, plus the recency touch.
+    fn batch_local_run(&mut self, run: Run, batched: &mut u64) -> bool {
+        let (start, stride, count) = (run.start(), run.stride(), run.count());
+        let write = run.kind().is_write();
+        let page = self.geom.page_of(start);
+        if page == self.geom.page_of(run.last_addr()) {
+            if !self.touch_if_complete(page, write) {
                 return false;
             }
-            let n = self.refs_in_page(addr, stride).min(rest.count());
-            if n == rest.count() {
-                return true;
+            self.batch_segment(page, start, stride, count, batched);
+            return true;
+        }
+        if !self.run_is_local(run) {
+            return false;
+        }
+        for (addr, n) in segments(self.geom, run) {
+            let page = self.geom.page_of(addr);
+            self.touch_if_complete(page, write);
+            self.batch_segment(page, addr, stride, n, batched);
+        }
+        true
+    }
+
+    /// If `page` is fully resident, notes a touch of kind `write` in its
+    /// dirty bit and returns `true`; otherwise changes nothing.
+    fn touch_if_complete(&mut self, page: PageId, write: bool) -> bool {
+        match self.table.get_mut(page) {
+            Some(state) if state.is_complete() => {
+                state.dirty |= write;
+                true
             }
-            (_, rest) = rest.split_at(n);
+            _ => false,
         }
     }
 
+    /// The rest of a batched complete-resident segment, whose dirty bit
+    /// is already set: the Figure 7 distance, the policy engine's
+    /// touches, then the recency touch — the order
+    /// [`segment_complete`](Self::segment_complete) takes them in — with
+    /// the references deferred to the batch.
+    fn batch_segment(
+        &mut self,
+        page: PageId,
+        addr: VirtAddr,
+        stride: i64,
+        n: u64,
+        batched: &mut u64,
+    ) {
+        if !self.armed.is_empty() {
+            self.resolve_distance(page, addr, stride, n);
+        }
+        self.note_touches(page, addr, stride, n);
+        self.lru.touch(page);
+        *batched += n;
+    }
+
     /// [`process_run`](Self::process_run) for a run [`run_is_local`]
-    /// vouched for: the same arithmetic in the same order, with the
-    /// absent/partial branches unreachable, so a local run computes
-    /// byte-identical state whichever path processes it.
+    /// vouched for, on a driver that is not quiescent: every segment
+    /// through the complete-resident slow path.
+    ///
+    /// [`run_is_local`]: Self::run_is_local
     fn process_run_local(&mut self, run: Run) {
-        let stride = run.stride();
-        let kind = run.kind();
-        if stride == 0 {
-            self.segment_complete(run.start(), 0, run.count(), kind);
-            return;
+        for (addr, n) in segments(self.geom, run) {
+            self.segment_complete(addr, run.stride(), n, run.kind());
         }
-        let mut rest = run;
-        let mut batched: u64 = 0;
-        loop {
-            let addr = rest.start();
-            let n = self.refs_in_page(addr, stride).min(rest.count());
-            let page = self.geom.page_of(addr);
-            if batched > 0 || self.exec_quiescent() {
-                self.lru.touch(page);
-                if kind.is_write() {
-                    self.table.mark_dirty(page);
-                }
-                batched += n;
-            } else {
-                self.segment_complete(addr, stride, n, kind);
-            }
-            if n == rest.count() {
-                break;
-            }
-            (_, rest) = rest.split_at(n);
-        }
-        self.flush_exec_batch(&mut batched);
     }
 
     /// One complete-resident segment off the batch fast path: mirrors
@@ -692,8 +760,9 @@ impl<'a> NodeDriver<'a> {
     }
 
     /// Feeds the policy engine the subpage footprint of a
-    /// complete-resident segment, retiring prefetch predictions along
-    /// the way. Partial pages observe through
+    /// complete-resident segment — each subpage it visits, in trace
+    /// order — and retires the prefetch predictions those touches
+    /// confirm. Partial pages observe through
     /// [`ensure_subpage`](Self::ensure_subpage); complete pages bypass
     /// it, so the engine would otherwise go blind the moment its own
     /// prefetching succeeds.
@@ -701,43 +770,43 @@ impl<'a> NodeDriver<'a> {
         if !self.adaptive {
             return;
         }
-        let mut a = addr;
-        let mut left = n;
-        while left > 0 {
-            let sub = self.geom.subpage_of(a);
+        let geom = self.geom;
+        let at = |i: u64| VirtAddr::new((addr.get() as i64 + stride * i as i64) as u64);
+        let mut touched = 0u32;
+        let mut touch = |sub: SubpageIndex| {
             self.engine.observe(crate::PolicyEvent::Touch {
                 page: page.get(),
                 subpage: sub,
-                at: self.clock,
             });
-            self.retire_prediction(page, sub);
-            let chunk = if stride == 0 {
-                left
+            touched |= 1u32 << sub.get();
+        };
+        if stride.unsigned_abs() <= geom.subpage_size().bytes().get() {
+            // No step skips a subpage, so the segment visits every
+            // subpage from its first reference's to its last's, in order.
+            let first = geom.subpage_of(addr).get();
+            let last = geom.subpage_of(at(n - 1)).get();
+            if first <= last {
+                (first..=last).for_each(|s| touch(SubpageIndex::new(s)));
             } else {
-                let sp = self.geom.subpage_size().bytes();
-                let offset = a.offset_in(sp).get();
-                let in_sub = if stride > 0 {
-                    (sp.get() - 1 - offset) / stride as u64 + 1
-                } else {
-                    offset / stride.unsigned_abs() + 1
-                };
-                in_sub.min(left)
-            };
-            left -= chunk;
-            if left > 0 {
-                a = VirtAddr::new((a.get() as i64 + stride * chunk as i64) as u64);
+                (last..=first)
+                    .rev()
+                    .for_each(|s| touch(SubpageIndex::new(s)));
             }
+        } else {
+            // Every reference lands in a subpage of its own.
+            (0..n).for_each(|i| touch(geom.subpage_of(at(i))));
         }
+        self.retire_predictions(page, touched);
     }
 
-    /// Marks a predicted subpage as actually touched: it leaves the
+    /// Marks predicted subpages as actually touched: they leave the
     /// page's outstanding-prediction mask and will not be billed as
     /// mispredicted when the window closes.
-    fn retire_prediction(&mut self, page: PageId, sub: SubpageIndex) {
-        if let Some(mask) = self.predicted.get_mut(&page) {
-            *mask &= !(1u32 << sub.get());
+    fn retire_predictions(&mut self, page: PageId, touched: u32) {
+        if let Some(mask) = self.predicted.get_mut(page) {
+            *mask &= !touched;
             if *mask == 0 {
-                self.predicted.remove(&page);
+                self.predicted.remove(page);
             }
         }
     }
@@ -790,54 +859,40 @@ impl<'a> NodeDriver<'a> {
     fn process_run<R: Recorder>(&mut self, run: Run, ctx: &mut ClusterCtx<'_, R>) {
         let stride = run.stride();
         let kind = run.kind();
-        if stride == 0 {
-            self.process_segment(run.start(), 0, run.count(), kind, ctx);
-            return;
-        }
-        // Split into per-page segments (a sparse run — |stride| ≥ page
-        // size — simply yields one-reference segments). Segments on
-        // fully-resident pages are batched past the per-segment
-        // bookkeeping while the engine is quiescent: their only effects
-        // are the recency touch, the dirty bit, and `exec` time, and the
-        // latter is additive, so one deferred `advance` at flush time is
-        // exact. The flush always precedes a slow-path segment so fault
-        // records still see the correct clock and reference count.
-        let mut rest = run;
+        // Segments on fully-resident pages are batched past the
+        // per-segment clock bookkeeping while the engine is quiescent:
+        // their only effects are the Figure 7 distance, the policy
+        // engine's touches, the recency touch, the dirty bit, and `exec`
+        // time, and the latter is additive, so one deferred `advance` at
+        // flush time is exact. The flush always precedes a slow-path
+        // segment so fault records still see the correct clock and
+        // reference count.
         let mut batched: u64 = 0;
-        loop {
-            let addr = rest.start();
-            let n = self.refs_in_page(addr, stride).min(rest.count());
+        for (addr, n) in segments(self.geom, run) {
             let page = self.geom.page_of(addr);
-            let complete = self.table.get(page).is_some_and(PageState::is_complete);
             // Quiescence cannot change while batching (the clock and all
             // fault state are untouched), so one check per batch suffices.
-            if complete && (batched > 0 || self.exec_quiescent()) {
-                self.lru.touch(page);
-                if kind.is_write() {
-                    self.table.mark_dirty(page);
-                }
-                batched += n;
+            if (batched > 0 || self.exec_quiescent())
+                && self.touch_if_complete(page, kind.is_write())
+            {
+                self.batch_segment(page, addr, stride, n, &mut batched);
             } else {
                 self.flush_exec_batch(&mut batched);
                 self.process_segment(addr, stride, n, kind, ctx);
             }
-            if n == rest.count() {
-                break;
-            }
-            (_, rest) = rest.split_at(n);
         }
         self.flush_exec_batch(&mut batched);
     }
 
-    /// Whether references to fully-resident pages can skip per-segment
-    /// bookkeeping entirely: no armed distance measurements, no pending
-    /// arrivals, no TLB model in play, and no follow-on data in flight
-    /// that execution would overlap with.
+    /// Whether segments on fully-resident pages can defer their exec
+    /// time to a batch: the only clock-dependent work such a segment
+    /// does is the TLB refill charge (small-pages policy only) and the
+    /// overlap test against follow-on data in flight, so with neither in
+    /// play, crediting the time later changes nothing. Local runs start
+    /// no transfer and the clock only moves forward, so once true this
+    /// stays true until the node's next shared section.
     fn exec_quiescent(&mut self) -> bool {
-        !self.adaptive
-            && self.armed.is_empty()
-            && self.events.is_idle()
-            && !matches!(self.policy, FetchPolicy::SmallPages { .. })
+        !matches!(self.policy, FetchPolicy::SmallPages { .. })
             && !self.events.other_inflight(self.clock, None)
     }
 
@@ -850,18 +905,6 @@ impl<'a> NodeDriver<'a> {
         self.refs_done += *batched;
         self.advance(self.ref_cost * *batched, Bucket::Exec, None);
         *batched = 0;
-    }
-
-    /// How many references starting at `addr` with `stride` stay on
-    /// `addr`'s page.
-    fn refs_in_page(&self, addr: VirtAddr, stride: i64) -> u64 {
-        let page_bytes = self.geom.page_size().bytes();
-        let offset = addr.offset_in(page_bytes).get();
-        if stride > 0 {
-            (page_bytes.get() - 1 - offset) / stride as u64 + 1
-        } else {
-            offset / stride.unsigned_abs() + 1
-        }
     }
 
     /// Executes `n` references at `addr`, `stride` apart, all on one page.
@@ -990,9 +1033,8 @@ impl<'a> NodeDriver<'a> {
             self.engine.observe(crate::PolicyEvent::Touch {
                 page: page.get(),
                 subpage: sub,
-                at: self.clock,
             });
-            self.retire_prediction(page, sub);
+            self.retire_predictions(page, 1u32 << sub.get());
         }
         if self.table.get(page).expect("resident").mask.contains(sub) {
             return;
@@ -1595,10 +1637,10 @@ impl<'a> NodeDriver<'a> {
             // discarded on arrival.
             self.wasted_transfers += 1;
         }
-        self.armed.remove(&victim);
+        self.armed.remove(victim);
         self.served_by.remove(&victim);
         self.lost_subs.remove(&victim);
-        if let Some(mask) = self.predicted.remove(&victim) {
+        if let Some(mask) = self.predicted.remove(victim) {
             // The prefetch window closes with the page: whatever the
             // program never touched was moved for nothing.
             let sub_bytes = self.geom.subpage_size().bytes().get() as u32;
@@ -1714,13 +1756,13 @@ impl<'a> NodeDriver<'a> {
     /// If `page` is armed (recently faulted), record the distance to the
     /// first *different* subpage this segment touches, if any.
     fn resolve_distance(&mut self, page: PageId, addr: VirtAddr, stride: i64, n: u64) {
-        let Some(&origin) = self.armed.get(&page) else {
+        let Some(&origin) = self.armed.get(page) else {
             return;
         };
         let first = self.geom.subpage_of(addr);
         if first != origin {
             self.distances.record(first.distance_from(origin));
-            self.armed.remove(&page);
+            self.armed.remove(page);
             return;
         }
         if stride == 0 || n <= 1 {
@@ -1737,7 +1779,7 @@ impl<'a> NodeDriver<'a> {
         if n > in_sub {
             let next = if stride > 0 { 1i8 } else { -1i8 };
             self.distances.record(next);
-            self.armed.remove(&page);
+            self.armed.remove(page);
         }
     }
 

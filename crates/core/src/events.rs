@@ -82,6 +82,7 @@ impl EventCore {
     }
 
     /// Whether no follow-on data is pending for any page.
+    #[cfg(test)]
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
     }

@@ -45,15 +45,15 @@ pub enum PolicyEvent {
         /// The node's clock at the fault.
         at: SimTime,
     },
-    /// The program touched `subpage` of resident `page` (reported for
-    /// pages whose prefetch outcome is still being tracked).
+    /// The program touched `subpage` of resident `page`. Touches carry
+    /// no time: the driver observes a quiescent node's touches in trace
+    /// order but credits their execution time in batches, so its clock
+    /// at a touch is not the touch's instant.
     Touch {
         /// The touched page (node-local id).
         page: u64,
         /// The touched subpage.
         subpage: SubpageIndex,
-        /// The node's clock at the touch.
-        at: SimTime,
     },
 }
 
@@ -219,7 +219,7 @@ impl LeapEngine {
 impl PolicyEngine for LeapEngine {
     fn observe(&mut self, event: PolicyEvent) {
         match event {
-            PolicyEvent::Fault { page, subpage, .. } | PolicyEvent::Touch { page, subpage, .. } => {
+            PolicyEvent::Fault { page, subpage, .. } | PolicyEvent::Touch { page, subpage } => {
                 self.push(page, subpage)
             }
         }
@@ -299,7 +299,7 @@ const INDIGO_HOT_WINDOW: Duration = Duration::from_millis(10);
 const INDIGO_PAGE_HISTORY: usize = 4;
 
 /// INDIGO-style hotness feedback (PAPERS.md: INDIGO): pages that fault
-/// again within [`INDIGO_HOT_WINDOW`] of their previous fault are
+/// again within `INDIGO_HOT_WINDOW` (10 ms) of their previous fault are
 /// migrated whole in a single message; cold pages fetch only the
 /// demanded subpage and demand-fill the rest lazily.
 pub struct IndigoEngine {
@@ -452,7 +452,6 @@ mod tests {
             engine.observe(PolicyEvent::Touch {
                 page: 0,
                 subpage: SubpageIndex::new(s),
-                at: SimTime::from_nanos(u64::from(s)),
             });
         }
         let planned = fault(&mut engine, 1, 0, 100);
@@ -473,7 +472,6 @@ mod tests {
             engine.observe(PolicyEvent::Touch {
                 page: 0,
                 subpage: SubpageIndex::new(s),
-                at: SimTime::ZERO,
             });
         }
         // Page 1 subpage 0 is absolute position 8: delta 2 from 6.
@@ -507,7 +505,6 @@ mod tests {
             engine.observe(PolicyEvent::Touch {
                 page: 0,
                 subpage: SubpageIndex::new(s),
-                at: SimTime::ZERO,
             });
         }
         let planned = fault(&mut engine, 1, 2, 0);

@@ -237,7 +237,9 @@ impl Geometry {
     #[must_use]
     pub fn subpage_of(self, addr: VirtAddr) -> SubpageIndex {
         let offset = addr.offset_in(self.page.bytes());
-        SubpageIndex((offset.get() / self.subpage.bytes().get()) as u8)
+        // Subpage sizes are powers of two, so a shift divides exactly
+        // (the engine calls this once per subpage a reference visits).
+        SubpageIndex((offset.get() >> self.subpage.bytes().get().trailing_zeros()) as u8)
     }
 
     /// Both halves at once.

@@ -11,6 +11,8 @@
 //! * [`SubpageMask`] — the per-page valid-bit set.
 //! * [`PageTable`] / [`PageState`] — which pages are resident with which
 //!   subpages, and which are dirty.
+//! * [`PageMap`] — a map keyed by one node's own page ids: an array over
+//!   the node's footprint, a hash map outside it.
 //! * [`FramePool`] — physical-frame accounting.
 //! * [`ReplacementPolicy`] — LRU (the paper's default) plus FIFO, Clock
 //!   and 2-random-choices for ablations.
@@ -37,6 +39,7 @@
 
 mod frames;
 mod layout;
+mod pagemap;
 mod pagetable;
 mod palcode;
 mod replacement;
@@ -45,6 +48,7 @@ mod tlb;
 
 pub use frames::FramePool;
 pub use layout::{Geometry, PageId, PageSize, SubpageIndex, SubpageSize};
+pub use pagemap::PageMap;
 pub use pagetable::{PageState, PageTable};
 pub use palcode::{PalCosts, PalEmulator, PalStats};
 pub use replacement::{Clock, Fifo, Lru, Random2, ReplacementPolicy};

@@ -1,8 +1,8 @@
 //! Resident-page tracking.
 
-use gms_units::{FastMap, VirtAddr};
+use gms_units::VirtAddr;
 
-use crate::{Geometry, PageId, SubpageIndex, SubpageMask};
+use crate::{Geometry, PageId, PageMap, SubpageIndex, SubpageMask};
 
 /// The residency state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,8 @@ impl PageState {
     }
 }
 
-/// Maps resident pages to their [`PageState`].
+/// Maps resident pages to their [`PageState`], through a [`PageMap`]
+/// over the node's footprint.
 ///
 /// # Examples
 ///
@@ -59,16 +60,23 @@ impl PageState {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     geometry: Geometry,
-    pages: FastMap<PageId, PageState>,
+    pages: PageMap<PageState>,
 }
 
 impl PageTable {
-    /// An empty table for the given geometry.
+    /// An empty table for the given geometry, with no dense span.
     #[must_use]
     pub fn new(geometry: Geometry) -> Self {
+        PageTable::with_span(geometry, PageId::new(0), 0)
+    }
+
+    /// An empty table indexing the `pages` pages from `first` directly
+    /// (see [`PageMap::with_span`]).
+    #[must_use]
+    pub fn with_span(geometry: Geometry, first: PageId, pages: u64) -> Self {
         PageTable {
             geometry,
-            pages: FastMap::default(),
+            pages: PageMap::with_span(first, pages),
         }
     }
 
@@ -103,44 +111,44 @@ impl PageTable {
     /// Removes a page, returning its final state (e.g. to check dirtiness
     /// on eviction).
     pub fn remove(&mut self, page: PageId) -> Option<PageState> {
-        self.pages.remove(&page)
+        self.pages.remove(page)
     }
 
     /// The state of `page`, if resident.
     #[must_use]
     pub fn get(&self, page: PageId) -> Option<&PageState> {
-        self.pages.get(&page)
+        self.pages.get(page)
     }
 
     /// Mutable state of `page`, if resident.
     pub fn get_mut(&mut self, page: PageId) -> Option<&mut PageState> {
-        self.pages.get_mut(&page)
+        self.pages.get_mut(page)
     }
 
     /// Whether the page containing `addr` is resident at all (possibly
     /// incomplete).
     #[must_use]
     pub fn is_page_resident(&self, addr: VirtAddr) -> bool {
-        self.pages.contains_key(&self.geometry.page_of(addr))
+        self.pages.contains(self.geometry.page_of(addr))
     }
 
     /// Whether the specific subpage containing `addr` is valid.
     #[must_use]
     pub fn is_subpage_resident(&self, addr: VirtAddr) -> bool {
         let (page, sub) = self.geometry.decompose(addr);
-        self.pages.get(&page).is_some_and(|s| s.mask.contains(sub))
+        self.pages.get(page).is_some_and(|s| s.mask.contains(sub))
     }
 
     /// Marks subpage `sub` of `page` valid. Returns `true` if the page is
     /// resident and the bit was newly set.
     pub fn mark_valid(&mut self, page: PageId, sub: SubpageIndex) -> bool {
-        self.pages.get_mut(&page).is_some_and(|s| s.mask.set(sub))
+        self.pages.get_mut(page).is_some_and(|s| s.mask.set(sub))
     }
 
     /// Marks `page` dirty (a write touched it). Returns `false` if the
     /// page is not resident.
     pub fn mark_dirty(&mut self, page: PageId) -> bool {
-        match self.pages.get_mut(&page) {
+        match self.pages.get_mut(page) {
             Some(s) => {
                 s.dirty = true;
                 true
@@ -151,7 +159,7 @@ impl PageTable {
 
     /// Iterates over resident pages in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &PageState)> {
-        self.pages.iter().map(|(k, v)| (*k, v))
+        self.pages.iter()
     }
 
     /// Number of resident pages that are incomplete (some subpage
@@ -159,7 +167,7 @@ impl PageTable {
     /// emulation must mediate.
     #[must_use]
     pub fn incomplete_pages(&self) -> usize {
-        self.pages.values().filter(|s| !s.is_complete()).count()
+        self.pages.iter().filter(|(_, s)| !s.is_complete()).count()
     }
 }
 

@@ -7,18 +7,20 @@
 
 use std::collections::VecDeque;
 
-use gms_units::FastMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::PageId;
+use crate::{PageId, PageMap};
 
 /// A local page-replacement policy: tracks resident pages and nominates
 /// victims.
 ///
 /// The policy tracks membership only; the caller owns the page table and
-/// frame pool. All implementations uphold two invariants, checked by the
-/// shared test suite:
+/// frame pool. Every implementation indexes its pages through a
+/// [`PageMap`]: `new` gives it no dense span, `with_span` one over the
+/// node's footprint, and the two behave identically. All
+/// implementations uphold two invariants, checked by the shared test
+/// suite:
 ///
 /// 1. `evict` never returns a page that was not inserted (or was removed).
 /// 2. After `touch(p)`, an immediate `evict` on a policy with ≥2 pages
@@ -75,9 +77,9 @@ struct Node {
 /// lru.touch(PageId::new(1)); // 2 is now the coldest
 /// assert_eq!(lru.evict(), Some(PageId::new(2)));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Lru {
-    map: FastMap<PageId, usize>,
+    map: PageMap<usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Most recently used.
@@ -86,12 +88,25 @@ pub struct Lru {
     tail: usize,
 }
 
+impl Default for Lru {
+    fn default() -> Self {
+        Lru::new()
+    }
+}
+
 impl Lru {
     /// An empty LRU list.
     #[must_use]
     pub fn new() -> Self {
+        Lru::with_span(PageId::new(0), 0)
+    }
+
+    /// An empty LRU list indexing the `pages` pages from `first`
+    /// directly.
+    #[must_use]
+    pub fn with_span(first: PageId, pages: u64) -> Self {
         Lru {
-            map: FastMap::default(),
+            map: PageMap::with_span(first, pages),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -135,10 +150,7 @@ impl Lru {
 
 impl ReplacementPolicy for Lru {
     fn insert(&mut self, page: PageId) {
-        assert!(
-            !self.map.contains_key(&page),
-            "{page} inserted twice into LRU"
-        );
+        assert!(!self.map.contains(page), "{page} inserted twice into LRU");
         let slot = if let Some(slot) = self.free.pop() {
             self.nodes[slot] = Node {
                 page,
@@ -159,7 +171,7 @@ impl ReplacementPolicy for Lru {
     }
 
     fn touch(&mut self, page: PageId) {
-        let Some(&slot) = self.map.get(&page) else {
+        let Some(&slot) = self.map.get(page) else {
             return;
         };
         if self.head == slot {
@@ -176,13 +188,13 @@ impl ReplacementPolicy for Lru {
         let slot = self.tail;
         let page = self.nodes[slot].page;
         self.unlink(slot);
-        self.map.remove(&page);
+        self.map.remove(page);
         self.free.push(slot);
         Some(page)
     }
 
     fn remove(&mut self, page: PageId) {
-        if let Some(slot) = self.map.remove(&page) {
+        if let Some(slot) = self.map.remove(page) {
             self.unlink(slot);
             self.free.push(slot);
         }
@@ -211,7 +223,7 @@ impl ReplacementPolicy for Lru {
 pub struct Fifo {
     queue: VecDeque<(PageId, u64)>,
     /// Resident pages and the generation of their live slot.
-    present: FastMap<PageId, u64>,
+    present: PageMap<u64>,
     generation: u64,
 }
 
@@ -220,6 +232,16 @@ impl Fifo {
     #[must_use]
     pub fn new() -> Self {
         Fifo::default()
+    }
+
+    /// An empty FIFO queue indexing the `pages` pages from `first`
+    /// directly.
+    #[must_use]
+    pub fn with_span(first: PageId, pages: u64) -> Self {
+        Fifo {
+            present: PageMap::with_span(first, pages),
+            ..Fifo::default()
+        }
     }
 }
 
@@ -237,8 +259,8 @@ impl ReplacementPolicy for Fifo {
 
     fn evict(&mut self) -> Option<PageId> {
         while let Some((page, generation)) = self.queue.pop_front() {
-            if self.present.get(&page) == Some(&generation) {
-                self.present.remove(&page);
+            if self.present.get(page) == Some(&generation) {
+                self.present.remove(page);
                 return Some(page);
             }
         }
@@ -247,7 +269,7 @@ impl ReplacementPolicy for Fifo {
 
     fn remove(&mut self, page: PageId) {
         // Lazy removal: the queue slot is skipped at eviction time.
-        self.present.remove(&page);
+        self.present.remove(page);
     }
 
     fn len(&self) -> usize {
@@ -274,7 +296,7 @@ pub struct Clock {
     ring: Vec<(PageId, u64)>,
     /// Resident pages: the generation of their live slot and the
     /// referenced bit.
-    referenced: FastMap<PageId, (u64, bool)>,
+    referenced: PageMap<(u64, bool)>,
     hand: usize,
     generation: u64,
 }
@@ -284,6 +306,15 @@ impl Clock {
     #[must_use]
     pub fn new() -> Self {
         Clock::default()
+    }
+
+    /// An empty clock indexing the `pages` pages from `first` directly.
+    #[must_use]
+    pub fn with_span(first: PageId, pages: u64) -> Self {
+        Clock {
+            referenced: PageMap::with_span(first, pages),
+            ..Clock::default()
+        }
     }
 }
 
@@ -300,7 +331,7 @@ impl ReplacementPolicy for Clock {
     }
 
     fn touch(&mut self, page: PageId) {
-        if let Some((_, r)) = self.referenced.get_mut(&page) {
+        if let Some((_, r)) = self.referenced.get_mut(page) {
             *r = true;
         }
     }
@@ -315,14 +346,14 @@ impl ReplacementPolicy for Clock {
             }
             self.hand %= self.ring.len();
             let (page, generation) = self.ring[self.hand];
-            match self.referenced.get_mut(&page) {
+            match self.referenced.get_mut(page) {
                 Some((live, r)) if *live == generation => {
                     if *r {
                         *r = false;
                         self.hand += 1;
                     } else {
                         self.ring.swap_remove(self.hand);
-                        self.referenced.remove(&page);
+                        self.referenced.remove(page);
                         return Some(page);
                     }
                 }
@@ -337,7 +368,7 @@ impl ReplacementPolicy for Clock {
     }
 
     fn remove(&mut self, page: PageId) {
-        self.referenced.remove(&page);
+        self.referenced.remove(page);
     }
 
     fn len(&self) -> usize {
@@ -358,8 +389,8 @@ impl ReplacementPolicy for Clock {
 #[derive(Debug, Clone)]
 pub struct Random2 {
     pages: Vec<PageId>,
-    slots: FastMap<PageId, usize>,
-    stamps: FastMap<PageId, u64>,
+    /// Each tracked page's index in `pages` and its last-use stamp.
+    entries: PageMap<(usize, u64)>,
     clock: u64,
     rng: SmallRng,
 }
@@ -368,22 +399,31 @@ impl Random2 {
     /// An empty policy with the given RNG seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
+        Random2::with_span(seed, PageId::new(0), 0)
+    }
+
+    /// An empty policy with the given RNG seed, indexing the `pages`
+    /// pages from `first` directly.
+    #[must_use]
+    pub fn with_span(seed: u64, first: PageId, pages: u64) -> Self {
         Random2 {
             pages: Vec::new(),
-            slots: FastMap::default(),
-            stamps: FastMap::default(),
+            entries: PageMap::with_span(first, pages),
             clock: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
+    fn stamp(&self, page: PageId) -> u64 {
+        self.entries.get(page).expect("tracked page").1
+    }
+
     fn forget(&mut self, page: PageId) {
-        if let Some(slot) = self.slots.remove(&page) {
+        if let Some((slot, _)) = self.entries.remove(page) {
             self.pages.swap_remove(slot);
             if let Some(&moved) = self.pages.get(slot) {
-                self.slots.insert(moved, slot);
+                self.entries.get_mut(moved).expect("tracked page").0 = slot;
             }
-            self.stamps.remove(&page);
         }
     }
 }
@@ -391,17 +431,16 @@ impl Random2 {
 impl ReplacementPolicy for Random2 {
     fn insert(&mut self, page: PageId) {
         assert!(
-            !self.slots.contains_key(&page),
+            !self.entries.contains(page),
             "{page} inserted twice into Random2"
         );
-        self.slots.insert(page, self.pages.len());
-        self.pages.push(page);
         self.clock += 1;
-        self.stamps.insert(page, self.clock);
+        self.entries.insert(page, (self.pages.len(), self.clock));
+        self.pages.push(page);
     }
 
     fn touch(&mut self, page: PageId) {
-        if let Some(stamp) = self.stamps.get_mut(&page) {
+        if let Some((_, stamp)) = self.entries.get_mut(page) {
             self.clock += 1;
             *stamp = self.clock;
         }
@@ -413,11 +452,7 @@ impl ReplacementPolicy for Random2 {
         }
         let a = self.pages[self.rng.gen_range(0..self.pages.len())];
         let b = self.pages[self.rng.gen_range(0..self.pages.len())];
-        let victim = if self.stamps[&a] <= self.stamps[&b] {
-            a
-        } else {
-            b
-        };
+        let victim = if self.stamp(a) <= self.stamp(b) { a } else { b };
         self.forget(victim);
         Some(victim)
     }
@@ -501,6 +536,13 @@ mod tests {
         conformance(Fifo::new());
         conformance(Clock::new());
         conformance(Random2::new(7));
+        // A span over part of the ids the suite uses: some pages index
+        // directly, the rest spill.
+        conformance(Lru::with_span(p(0), 50));
+        conformance(Fifo::with_span(p(0), 50));
+        conformance(Clock::with_span(p(0), 50));
+        conformance(Random2::with_span(7, p(0), 50));
+        conformance(Lru::default());
     }
 
     #[test]

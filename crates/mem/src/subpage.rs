@@ -27,6 +27,9 @@ pub struct SubpageMask {
 }
 
 impl SubpageMask {
+    /// The most subpages one mask (and so one page) can track.
+    pub const MAX_WIDTH: u32 = u64::BITS;
+
     /// A mask over `n` subpages with none valid.
     ///
     /// # Panics
@@ -34,7 +37,10 @@ impl SubpageMask {
     /// Panics if `n` is not in `1..=64`.
     #[must_use]
     pub fn empty(n: u32) -> Self {
-        assert!((1..=64).contains(&n), "mask width {n} out of range");
+        assert!(
+            (1..=Self::MAX_WIDTH).contains(&n),
+            "mask width {n} out of range"
+        );
         SubpageMask { bits: 0, n }
     }
 

@@ -1,12 +1,13 @@
 //! Property tests for the memory substrate: TLB against a reference
-//! model, and replacement-policy population invariants.
+//! model, `PageMap` against a hash map, and replacement-policy
+//! population invariants.
 
 use proptest::prelude::*;
 
 use gms_mem::{
-    Clock, Fifo, Lru, PageId, Random2, ReplacementPolicy, SubpageIndex, SubpageMask, Tlb,
+    Clock, Fifo, Lru, PageId, PageMap, Random2, ReplacementPolicy, SubpageIndex, SubpageMask, Tlb,
 };
-use gms_units::Cycles;
+use gms_units::{Cycles, FastMap};
 
 /// A straightforward fully-associative LRU reference model.
 struct RefTlb {
@@ -68,46 +69,101 @@ proptest! {
     }
 
     /// Every replacement policy maintains exactly the inserted-minus-
-    /// evicted/removed population, for arbitrary op sequences.
+    /// evicted/removed population, for arbitrary op sequences — with no
+    /// dense span, and with one covering every id — and the two index
+    /// layouts evict in the same order.
     #[test]
     fn replacement_population_invariant(
         ops in prop::collection::vec((0u64..64, 0u8..4), 1..300),
         which in 0usize..4,
     ) {
-        let mut policy: Box<dyn ReplacementPolicy> = match which {
-            0 => Box::new(Lru::new()),
-            1 => Box::new(Fifo::new()),
-            2 => Box::new(Clock::new()),
-            _ => Box::new(Random2::new(9)),
-        };
-        let mut present = std::collections::HashSet::new();
-        for (p, op) in ops {
-            let page = PageId::new(p);
-            match op {
-                0 => {
-                    if !present.contains(&p) {
-                        policy.insert(page);
-                        present.insert(p);
-                    }
-                }
-                1 => policy.touch(page),
-                2 => {
-                    policy.remove(page);
-                    present.remove(&p);
-                }
-                _ => {
-                    if let Some(victim) = policy.evict() {
-                        prop_assert!(
-                            present.remove(&victim.get()),
-                            "evicted untracked {victim}"
-                        );
-                    } else {
-                        prop_assert!(present.is_empty());
-                    }
-                }
+        let build = |span: u64| -> Box<dyn ReplacementPolicy> {
+            let first = PageId::new(0);
+            match which {
+                0 => Box::new(Lru::with_span(first, span)),
+                1 => Box::new(Fifo::with_span(first, span)),
+                2 => Box::new(Clock::with_span(first, span)),
+                _ => Box::new(Random2::with_span(9, first, span)),
             }
-            prop_assert_eq!(policy.len(), present.len());
+        };
+        let mut victims = Vec::new();
+        for span in [0, 64] {
+            let mut policy = build(span);
+            let mut present = std::collections::HashSet::new();
+            let mut evicted = Vec::new();
+            for &(p, op) in &ops {
+                let page = PageId::new(p);
+                match op {
+                    0 => {
+                        if !present.contains(&p) {
+                            policy.insert(page);
+                            present.insert(p);
+                        }
+                    }
+                    1 => policy.touch(page),
+                    2 => {
+                        policy.remove(page);
+                        present.remove(&p);
+                    }
+                    _ => {
+                        let victim = policy.evict();
+                        if let Some(victim) = victim {
+                            prop_assert!(
+                                present.remove(&victim.get()),
+                                "evicted untracked {victim}"
+                            );
+                        } else {
+                            prop_assert!(present.is_empty());
+                        }
+                        evicted.push(victim);
+                    }
+                }
+                prop_assert_eq!(policy.len(), present.len());
+            }
+            victims.push(evicted);
         }
+        prop_assert_eq!(&victims[0], &victims[1], "span changed the eviction order");
+    }
+
+    /// `PageMap` answers every operation as a hash map would, for ids
+    /// below, inside and above its dense span, and with no span at all.
+    #[test]
+    fn page_map_matches_a_hash_map(
+        first in 8u64..40,
+        pages in 0u64..32,
+        no_span in prop::bool::ANY,
+        ops in prop::collection::vec((0u64..80, 0u8..5, 0u32..1000), 1..300),
+    ) {
+        let mut map = if no_span {
+            PageMap::new()
+        } else {
+            PageMap::with_span(PageId::new(first), pages)
+        };
+        let mut model: FastMap<PageId, u32> = FastMap::default();
+        for (id, op, value) in ops {
+            let page = PageId::new(id);
+            match op {
+                0 => prop_assert_eq!(map.insert(page, value), model.insert(page, value)),
+                1 => prop_assert_eq!(map.remove(page), model.remove(&page)),
+                2 => prop_assert_eq!(map.get(page), model.get(&page)),
+                3 => {
+                    if let Some(v) = map.get_mut(page) {
+                        *v += value;
+                    }
+                    if let Some(v) = model.get_mut(&page) {
+                        *v += value;
+                    }
+                }
+                _ => prop_assert_eq!(map.contains(page), model.contains_key(&page)),
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+        }
+        let mut listed: Vec<(u64, u32)> = map.iter().map(|(k, v)| (k.get(), *v)).collect();
+        let mut want: Vec<(u64, u32)> = model.iter().map(|(k, v)| (k.get(), *v)).collect();
+        listed.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(listed, want);
     }
 
     /// Mask display, iteration and counting stay mutually consistent

@@ -221,3 +221,139 @@ fn per_ref_adapter_agrees_with_runs() {
     assert_eq!(total_by_runs, total_by_refs);
     assert_eq!(total_by_runs, app.target_refs());
 }
+
+/// A trace that strays outside its declared footprint — below `base`
+/// and past `base + footprint` — simulates exactly as it always has:
+/// pages outside the span a node's page table and replacement policy
+/// index densely fall back to their hashed spill, and their faults miss
+/// the warm global cache to disk. The counters are pinned per policy,
+/// memory size and replacement policy.
+#[test]
+fn pages_outside_the_footprint_keep_their_counters() {
+    let page = 8192u64;
+    let base = VirtAddr::new(0x10_0000_0000);
+    let footprint_pages = 16u64;
+    let at = |p: i64| VirtAddr::new((base.get() as i64 + p * page as i64) as u64);
+    let mut runs = Vec::new();
+    for pass in 0..2 {
+        // A scan that starts three pages below `base` and writes its way
+        // into the footprint.
+        runs.push(Run::new(at(-3), 1024, 40, AccessKind::Write));
+        // Every footprint page, one word per subpage.
+        runs.push(Run::new(at(0), 1024, footprint_pages * 8, AccessKind::Read));
+        // Repeated references to one word: on each side of the span and
+        // in it.
+        runs.push(Run::new(at(-1), 0, 500, AccessKind::Read));
+        runs.push(Run::new(at(5), 0, 500, AccessKind::Write));
+        runs.push(Run::new(
+            at(footprint_pages as i64 + 2),
+            0,
+            300,
+            AccessKind::Write,
+        ));
+        // A backward scan from past the end down into the footprint.
+        runs.push(Run::new(
+            at(footprint_pages as i64 + 4),
+            -2048,
+            28,
+            AccessKind::Read,
+        ));
+        // Sparse single references far from the span, then back in it.
+        for p in [-700i64, 1_000, 9, 4_000, 3, footprint_pages as i64] {
+            runs.push(Run::single(at(p + pass), AccessKind::Write));
+        }
+        runs.push(Run::new(at(2), 8, 3000, AccessKind::Read));
+    }
+    let cases = [
+        (
+            FetchPolicy::fullpage(),
+            MemoryConfig::Full,
+            ReplacementKind::Lru,
+        ),
+        (
+            FetchPolicy::eager(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Lru,
+        ),
+        (
+            FetchPolicy::pipelined(SubpageSize::S1K),
+            MemoryConfig::Quarter,
+            ReplacementKind::Lru,
+        ),
+        (
+            FetchPolicy::lazy(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Lru,
+        ),
+        (
+            FetchPolicy::leap(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Lru,
+        ),
+        (
+            FetchPolicy::indigo(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Lru,
+        ),
+        (
+            FetchPolicy::eager(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Fifo,
+        ),
+        (
+            FetchPolicy::eager(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Clock,
+        ),
+        (
+            FetchPolicy::eager(SubpageSize::S1K),
+            MemoryConfig::Half,
+            ReplacementKind::Random2 { seed: 5 },
+        ),
+    ];
+    let got: Vec<String> = cases
+        .iter()
+        .map(|&(policy, memory, replacement)| {
+            let mut source = VecSource::new(runs.clone());
+            let r = Simulator::new(
+                SimConfig::builder()
+                    .policy(policy)
+                    .memory(memory)
+                    .replacement(replacement)
+                    .build(),
+            )
+            .run_trace(&mut source, Bytes::new(page * footprint_pages), base);
+            r.assert_conserved();
+            format!(
+                "{} {} {}: refs {} time {} wait {} remote {} disk {} lazy {} \
+                 evict {} dirty {} wasted {} prefetched {} fallback {}",
+                r.policy,
+                r.memory,
+                replacement.name(),
+                r.total_refs,
+                r.total_time.as_nanos(),
+                r.page_wait.as_nanos(),
+                r.faults.remote,
+                r.faults.disk,
+                r.faults.lazy_subpage,
+                r.evictions,
+                r.dirty_evictions,
+                r.wasted_transfers,
+                r.prefetched_subpages,
+                r.fell_back_to_disk,
+            )
+        })
+        .collect();
+    let want = [
+        "p_8192 full-mem lru: refs 9004 time 262431548 wait 0 remote 44 disk 14 lazy 0 evict 42 dirty 18 wasted 0 prefetched 0 fallback 14",
+        "sp_1024 1/2-mem lru: refs 9004 time 266358862 wait 36998420 remote 55 disk 14 lazy 0 evict 61 dirty 20 wasted 7 prefetched 0 fallback 14",
+        "pl_1024 1/4-mem lru: refs 9004 time 253382795 wait 22030254 remote 60 disk 14 lazy 0 evict 70 dirty 24 wasted 8 prefetched 0 fallback 14",
+        "lazy_1024 1/2-mem lru: refs 9004 time 388751724 wait 0 remote 55 disk 14 lazy 288 evict 61 dirty 20 wasted 0 prefetched 0 fallback 14",
+        "leap_1024 1/2-mem lru: refs 9004 time 243358188 wait 14271172 remote 55 disk 14 lazy 0 evict 61 dirty 20 wasted 13 prefetched 385 fallback 14",
+        "indigo_1024 1/2-mem lru: refs 9004 time 388751724 wait 0 remote 55 disk 14 lazy 288 evict 61 dirty 20 wasted 0 prefetched 0 fallback 14",
+        "sp_1024 1/2-mem fifo: refs 9004 time 264899162 wait 36998432 remote 54 disk 14 lazy 0 evict 60 dirty 20 wasted 6 prefetched 0 fallback 14",
+        "sp_1024 1/2-mem clock: refs 9004 time 264375112 wait 36139142 remote 53 disk 14 lazy 0 evict 59 dirty 20 wasted 6 prefetched 0 fallback 14",
+        "sp_1024 1/2-mem random2: refs 9004 time 265045378 wait 37097142 remote 55 disk 14 lazy 0 evict 61 dirty 22 wasted 7 prefetched 0 fallback 14",
+    ];
+    assert_eq!(got, want, "actual:\n{}", got.join("\n"));
+}
