@@ -511,7 +511,7 @@ pub(crate) struct NodeDriver<'a> {
     /// Outstanding prefetch predictions per page: bitmask of subpages
     /// fetched beyond the demanded one and not yet touched. The window
     /// closes at eviction; whatever is still set was moved for nothing.
-    predicted: PageMap<u32>,
+    predicted: PageMap<u64>,
     prefetched_subpages: u64,
     mispredicted_prefetch_bytes: u64,
     /// Which node served each resident remotely-fetched page; lazy
@@ -772,13 +772,13 @@ impl<'a> NodeDriver<'a> {
         }
         let geom = self.geom;
         let at = |i: u64| VirtAddr::new((addr.get() as i64 + stride * i as i64) as u64);
-        let mut touched = 0u32;
+        let mut touched = 0u64;
         let mut touch = |sub: SubpageIndex| {
             self.engine.observe(crate::PolicyEvent::Touch {
                 page: page.get(),
                 subpage: sub,
             });
-            touched |= 1u32 << sub.get();
+            touched |= 1u64 << sub.get();
         };
         if stride.unsigned_abs() <= geom.subpage_size().bytes().get() {
             // No step skips a subpage, so the segment visits every
@@ -802,7 +802,7 @@ impl<'a> NodeDriver<'a> {
     /// Marks predicted subpages as actually touched: they leave the
     /// page's outstanding-prediction mask and will not be billed as
     /// mispredicted when the window closes.
-    fn retire_predictions(&mut self, page: PageId, touched: u32) {
+    fn retire_predictions(&mut self, page: PageId, touched: u64) {
         if let Some(mask) = self.predicted.get_mut(page) {
             *mask &= !touched;
             if *mask == 0 {
@@ -1034,7 +1034,7 @@ impl<'a> NodeDriver<'a> {
                 page: page.get(),
                 subpage: sub,
             });
-            self.retire_predictions(page, 1u32 << sub.get());
+            self.retire_predictions(page, 1u64 << sub.get());
         }
         if self.table.get(page).expect("resident").mask.contains(sub) {
             return;
@@ -1415,7 +1415,7 @@ impl<'a> NodeDriver<'a> {
                     .zip(&ft.arrivals[1..])
                     .filter(|(_, arr)| !arr.lost);
                 for (msg, (subs, arr)) in survivors.enumerate() {
-                    let subpages = subs.iter().fold(0u32, |m, s| m | (1 << s.get()));
+                    let subpages = subs.iter().fold(0u64, |m, s| m | (1 << s.get()));
                     ctx.rec.record(Event::Arrival {
                         node: self.node,
                         page: page.get(),
@@ -1457,8 +1457,8 @@ impl<'a> NodeDriver<'a> {
                 .groups()
                 .iter()
                 .flatten()
-                .fold(0u32, |m, s| m | (1u32 << s.get()))
-                & !(1u32 << sub.get());
+                .fold(0u64, |m, s| m | (1u64 << s.get()))
+                & !(1u64 << sub.get());
             if mask != 0 {
                 self.prefetched_subpages += u64::from(mask.count_ones());
                 self.predicted.insert(page, mask);

@@ -183,9 +183,9 @@ pub enum Event {
         /// The instant the message's data becomes usable.
         at: SimTime,
         /// Bitmask of the subpages the message carries (bit `i` =
-        /// subpage `i`; a page has at most 32 subpages at the smallest
-        /// 256-byte subpage size).
-        subpages: u32,
+        /// subpage `i`; a page has at most 64 subpages at the smallest
+        /// 128-byte subpage size).
+        subpages: u64,
     },
     /// The program stalled waiting for follow-on data on an incomplete
     /// page (`page_wait` in the report's decomposition).
@@ -319,7 +319,7 @@ pub enum Event {
         /// The page the prediction covers (node-local id).
         page: u64,
         /// Bitmask of the predicted subpages (bit `i` = subpage `i`).
-        subpages: u32,
+        subpages: u64,
         /// Bytes per subpage in the mask, so misprediction cost is
         /// computable from the event alone.
         sub_bytes: u32,

@@ -593,7 +593,7 @@ impl FlightRecorder {
     /// this `(node, page)`, if it survived. The dispatcher's bloom gate
     /// has already ruled out nodes with no retained chain for the page.
     #[inline(never)]
-    fn on_arrival(&mut self, node: NodeId, page: u64, msg: u8, at: SimTime, subpages: u32) {
+    fn on_arrival(&mut self, node: NodeId, page: u64, msg: u8, at: SimTime, subpages: u64) {
         if let Some(o) = self.owner.get(&(node.index(), page)) {
             if let Some(ci) = o.chain {
                 let c = &mut self.chains[ci as usize];

@@ -88,7 +88,7 @@ enum Pending {
     Arrival {
         node: u32,
         page: u64,
-        subpages: u32,
+        subpages: u64,
     },
 }
 
@@ -115,7 +115,7 @@ pub struct RegionStats {
     /// Union of the region's `Arrival` subpage bitmasks across pages —
     /// its popcount bounds how much of a page the region's accesses
     /// ever cover.
-    pub subpage_mask: u32,
+    pub subpage_mask: u64,
     /// Subpages an adaptive engine predicted (moved beyond demand) for
     /// the region's pages, counted at issue time.
     pub prefetched_subpages: u64,
@@ -637,7 +637,7 @@ impl HeatMap {
     // the call does not copy a 56-byte Event by value.
 
     #[inline(never)]
-    fn on_prefetch(&mut self, node: u32, page: u64, subpages: u32, sub_bytes: u32, unused: bool) {
+    fn on_prefetch(&mut self, node: u32, page: u64, subpages: u64, sub_bytes: u32, unused: bool) {
         let stats = self.region_mut(node, page >> self.region_shift);
         let count = u64::from(subpages.count_ones());
         let bytes = count * u64::from(sub_bytes);
@@ -1316,7 +1316,7 @@ mod tests {
                         page,
                         msg: 0,
                         at: t(at_ns),
-                        subpages: (page as u32).wrapping_mul(2_654_435_769) & 0xff,
+                        subpages: u64::from((page as u32).wrapping_mul(2_654_435_769) & 0xff),
                     },
                     4 => Event::Prefetch {
                         node: node_id,

@@ -39,13 +39,13 @@ impl fmt::Display for Us {
 }
 
 /// Displays a subpage bitmask as a JSON array of its set indices.
-struct Subpages(u32);
+struct Subpages(u64);
 
 impl fmt::Display for Subpages {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("[")?;
         let mut sep = "";
-        for i in (0..32).filter(|i| self.0 & (1 << i) != 0) {
+        for i in (0..64).filter(|i| self.0 & (1 << i) != 0) {
             write!(f, "{sep}{i}")?;
             sep = ",";
         }
@@ -355,6 +355,7 @@ mod tests {
         assert_eq!(Subpages(0).to_string(), "[]");
         assert_eq!(Subpages(0b1010).to_string(), "[1,3]");
         assert_eq!(Subpages(1 << 31 | 1).to_string(), "[0,31]");
+        assert_eq!(Subpages(1 << 63 | 1 << 32).to_string(), "[32,63]");
     }
 
     #[test]

@@ -7,6 +7,7 @@ use gms_subpages::core::{
 };
 use gms_subpages::mem::SubpageSize;
 use gms_subpages::net::RecvOverhead;
+use gms_subpages::obs::{Event, FlightRecorder, HeatMap, MemoryRecorder};
 use gms_subpages::trace::apps::{self, AppProfile};
 use gms_subpages::trace::{io, AccessKind, Run, TraceSource, VecSource};
 use gms_subpages::units::{Bytes, Duration, VirtAddr};
@@ -45,6 +46,58 @@ fn all_policies_conserve_time_buckets() {
             assert!(report.total_time > Duration::ZERO);
         }
     }
+}
+
+/// 128-byte subpages give a page 64 subpages, so every subpage mask —
+/// the engine's prediction masks and the `Arrival`/`Prefetch` event
+/// masks the recorders fold — must reach bit 63. Each 128 B policy runs
+/// under every kind of recorder at once: the time buckets conserve, the
+/// heat map's prefetch totals reconcile with the report's counters, and
+/// some recorded mask sets a bit at or above 32.
+#[test]
+fn subpages_of_128_bytes_keep_every_mask_bit() {
+    let app = apps::gdb().scaled(0.05);
+    let s128 = SubpageSize::new(Bytes::new(128));
+    let mut high_bit = false;
+    for policy in [
+        FetchPolicy::eager(s128),
+        FetchPolicy::pipelined(s128),
+        FetchPolicy::leap(s128),
+        FetchPolicy::indigo(s128),
+    ] {
+        let cfg = SimConfig::builder()
+            .policy(policy)
+            .memory(MemoryConfig::Half)
+            .build();
+        let mut rec = (
+            MemoryRecorder::new(),
+            (FlightRecorder::new(4), HeatMap::new()),
+        );
+        let report = Simulator::new(cfg).run_recorded(&app, &mut rec);
+        let (events, (mut flight, heat)) = rec;
+        let label = policy.label();
+        report.assert_conserved();
+        assert_eq!(report.total_refs, app.target_refs(), "{label}");
+        flight.seal();
+        assert_eq!(flight.total_faults(), report.faults.total(), "{label}");
+        let totals = heat.totals();
+        assert_eq!(totals.total_faults(), report.faults.total(), "{label}");
+        assert_eq!(
+            totals.prefetched_subpages, report.prefetched_subpages,
+            "{label}"
+        );
+        assert_eq!(
+            totals.wasted_bytes, report.mispredicted_prefetch_bytes,
+            "{label}"
+        );
+        high_bit |= events.iter().any(|e| match *e {
+            Event::Arrival { subpages, .. } | Event::Prefetch { subpages, .. } => {
+                subpages.leading_zeros() < 32
+            }
+            _ => false,
+        });
+    }
+    assert!(high_bit, "no recorded mask reached past bit 31");
 }
 
 /// GMS protocol accounting matches the engine's: every remote fault is a
