@@ -32,13 +32,14 @@ use std::collections::BinaryHeap;
 use gms_cluster::Gms;
 use gms_mem::PageId;
 use gms_net::{ClusterNetwork, FaultInjector, NetResource};
-use gms_obs::{NoopRecorder, Recorder};
+use gms_obs::{NoopRecorder, QuantileSketch, Recorder};
 use gms_trace::apps::AppProfile;
 use gms_trace::synth::LAYOUT_BASE;
 use gms_trace::TraceSource;
 use gms_units::{Bytes, Duration, NodeId, SimTime, VirtAddr};
 
 use crate::engine::{namespace_base, namespace_page, ClusterCtx, NodeDriver};
+use crate::export::SloCount;
 use crate::metrics::{ClusterNetStats, NodeNetStats};
 use crate::{RunReport, SimConfig};
 
@@ -336,6 +337,33 @@ impl ClusterReport {
         }
         let total: Duration = self.nodes.iter().map(|r| r.sp_latency + r.page_wait).sum();
         total / self.nodes.len() as u64
+    }
+
+    /// Every active node's fault waits in one sketch: the merge is
+    /// exact, so this is the sketch of every fault in the cluster.
+    #[must_use]
+    pub fn wait_sketch(&self) -> QuantileSketch {
+        let mut sketch = QuantileSketch::new();
+        for node in &self.nodes {
+            sketch.merge(&node.wait_sketch());
+        }
+        sketch
+    }
+
+    /// The faults of every active node, and how many of them waited at
+    /// most `slo`.
+    #[must_use]
+    pub fn slo_count(&self, slo: Duration) -> SloCount {
+        let mut count = SloCount {
+            threshold: slo,
+            faults: 0,
+            under: 0,
+        };
+        for f in self.nodes.iter().flat_map(|n| &n.fault_log) {
+            count.faults += 1;
+            count.under += u64::from(f.wait <= slo);
+        }
+        count
     }
 
     /// A compact human-readable summary of the cluster run.

@@ -76,9 +76,8 @@ pub use config::{
 };
 pub use engine::Simulator;
 pub use export::{
-    cluster_summary_json, cluster_summary_json_v3, histogram_json, reliability_counters,
-    run_counters, run_summary_json, run_summary_json_v3, slo_counters, tail_json, SUMMARY_SCHEMA,
-    SUMMARY_SCHEMA_V3, TAIL_PERCENTILES, WAIT_PERCENTILES,
+    cluster_summary_json, reliability_counters, run_counters, run_summary_json, tail_json,
+    wait_json, with_slo, SloCount, SUMMARY_SCHEMA, TAIL_PERCENTILES, WAIT_PERCENTILES,
 };
 pub use gms_cluster::ReplicationConfig;
 pub use gms_net::{DegradeWindow, FaultPlan, NodeEvent};

@@ -2,7 +2,7 @@
 
 use gms_cluster::GmsStats;
 use gms_net::BusyTimes;
-use gms_obs::{LogHistogram, QuantileSketch};
+use gms_obs::QuantileSketch;
 use gms_units::Duration;
 
 use crate::metrics::{DistanceHistogram, FaultCounts, FaultRecord, OverlapStats};
@@ -146,26 +146,12 @@ impl RunReport {
         self.net_busy.wire_in_utilization(self.total_time)
     }
 
-    /// Log-bucketed histogram of per-fault waiting times (nanoseconds),
-    /// for p50/p90/p99/max reporting. Built on demand from the fault
-    /// log rather than stored, so a report stays byte-identical whether
-    /// or not anyone asks for percentiles.
-    #[must_use]
-    pub fn wait_histogram(&self) -> LogHistogram {
-        let mut h = LogHistogram::new();
-        for f in &self.fault_log {
-            h.record(f.wait.as_nanos());
-        }
-        h
-    }
-
-    /// Mergeable far-tail sketch of the same per-fault waits, for
-    /// p99.9/p99.99 reporting (1/256 relative error vs the
-    /// histogram's 1/16). Like [`RunReport::wait_histogram`] it is
-    /// built on demand from the fault log, so it is deterministic for
-    /// a given run whatever recorder (or none) observed it, and
-    /// per-node sketches merge exactly associatively into cluster
-    /// tails.
+    /// Mergeable sketch of the per-fault waiting times (nanoseconds),
+    /// for every percentile from p50 to p99.99 within a 1/256 relative
+    /// error. Built on demand from the fault log rather than stored, so
+    /// it is deterministic for a given run whatever recorder (or none)
+    /// observed it, and per-node sketches merge exactly associatively
+    /// into cluster sketches.
     #[must_use]
     pub fn wait_sketch(&self) -> QuantileSketch {
         let mut s = QuantileSketch::new();

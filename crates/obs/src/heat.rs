@@ -1,7 +1,7 @@
 //! Spatial heat telemetry: which page regions are hot, and why.
 //!
 //! Everything observability exported so far is temporal — latency
-//! histograms, quantile sketches, worst-K exemplars — but the paper's
+//! quantile sketches, time series, worst-K exemplars — but the paper's
 //! argument is *spatial*: which subpages of which pages the program
 //! actually touches. A [`HeatMap`] is a bounded [`Recorder`] that folds
 //! the event stream into per-`(node, region)` accumulators, where a

@@ -1,5 +1,5 @@
 //! Observability for the `gms-subpages` simulator: structured event
-//! tracing, log-bucketed latency histograms, and trace/summary
+//! tracing, a mergeable latency quantile sketch, and trace/summary
 //! exporters.
 //!
 //! The simulator's end-of-run aggregates answer *how much* time was
@@ -22,13 +22,10 @@
 //!   worst-K faults per node per window (a reservoir keyed by page
 //!   wait), plus per-window SLO tallies over every fault, in O(K)
 //!   memory instead of O(total events).
-//! * [`LogHistogram`] — HDR-style log-bucketed latency histogram with
-//!   ~3% relative error, for p50/p90/p99/max reporting without storing
-//!   every sample.
 //! * [`QuantileSketch`] — a sparse, mergeable DDSketch-style quantile
 //!   sketch with a proven two-sided 1/256 relative error bound and
-//!   exactly commutative/associative merges, for p99.9/p99.99
-//!   reporting and cross-thread rollups.
+//!   exactly commutative/associative merges: every page-wait
+//!   percentile, from p50 to p99.99, without storing every sample.
 //! * [`HeatMap`] — a bounded, mergeable spatial-heat accumulator keyed
 //!   by fixed-size page regions per node: fault counts by class,
 //!   first-touch vs refault split with refault-interval sketches,
@@ -78,7 +75,6 @@ mod counters;
 mod event;
 mod flight;
 mod heat;
-mod hist;
 mod json;
 mod perfetto;
 mod recorder;
@@ -93,7 +89,6 @@ pub use counters::CounterRegistry;
 pub use event::{Event, FaultClass, PolicyChoice, ResourceKind};
 pub use flight::{Exemplar, FlightRecorder, WindowTally};
 pub use heat::{heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA};
-pub use hist::LogHistogram;
 pub use json::{escape_json, JsonValue, MAX_JSON_DEPTH};
 pub use perfetto::{perfetto_trace, trace_nodes, APP_TRACK};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};

@@ -1,12 +1,11 @@
 //! A mergeable streaming quantile sketch with a guaranteed relative
 //! error bound (DDSketch-style log bucketing, pure-integer mapping).
 //!
-//! [`LogHistogram`](crate::LogHistogram) stops being enough once
-//! summaries reach into the far tail: its 32 sub-buckets per octave
-//! give ~3% error, fine for p50/p99 but coarse for p99.9/p99.99, and
-//! its dense `Vec` is sized for one run, not for rolling thousands of
-//! per-window partials together. `QuantileSketch` trades a sparse
-//! store for four times the resolution:
+//! It is the workspace's one estimator of page-wait distributions:
+//! summary percentiles and far tails, time-series windows, Prometheus
+//! quantiles, heat refault intervals and `explain`'s tails all read it.
+//! A sparse store keeps a sketch small whether it holds one run or one
+//! of thousands of per-window partials:
 //!
 //! * 128 linear sub-buckets per power-of-two octave, so any reported
 //!   quantile (the bucket *midpoint* of the exact order statistic's
@@ -200,12 +199,9 @@ impl QuantileSketch {
     }
 
     /// The value at quantile `q` in `[0, 1]`: the midpoint of the
-    /// bucket holding the `ceil(q * count)`-th smallest sample (the
-    /// same rank convention as [`LogHistogram::percentile`]), clamped
+    /// bucket holding the `ceil(q * count)`-th smallest sample, clamped
     /// to the exact min/max. Within [`Self::MAX_RELATIVE_ERROR`] of the
     /// exact order statistic on either side; 0 for an empty sketch.
-    ///
-    /// [`LogHistogram::percentile`]: crate::LogHistogram::percentile
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -285,7 +281,6 @@ impl Eq for QuantileSketch {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LogHistogram;
     use proptest::prelude::*;
 
     #[test]
@@ -440,43 +435,6 @@ mod tests {
                 prop_assert!(v >= last, "quantile not monotone at q={q}");
                 prop_assert!(v >= s.min() && v <= s.max());
                 last = v;
-            }
-        }
-
-        /// Cross-check against `LogHistogram::quantile`: both report
-        /// the same order statistic under the same rank convention, so
-        /// on identical samples they agree to within the *sum* of their
-        /// error bounds (1/64 + 1/256), and each stays within its own
-        /// bound of the exact statistic.
-        #[test]
-        fn agrees_with_loghistogram_quantile(
-            mut samples in prop::collection::vec(1u64..100_000_000, 1..150),
-        ) {
-            let mut s = QuantileSketch::new();
-            let mut h = LogHistogram::new();
-            for &v in &samples {
-                s.record(v);
-                h.record(v);
-            }
-            samples.sort_unstable();
-            for step in 1..=20 {
-                let q = f64::from(step) / 20.0;
-                let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
-                let exact = samples[rank - 1] as f64;
-                let from_sketch = s.quantile(q) as f64;
-                let from_hist = h.quantile(q) as f64;
-                prop_assert!(
-                    (from_sketch - exact).abs() / exact <= 1.0 / 256.0,
-                    "sketch q={q}: {from_sketch} vs {exact}"
-                );
-                prop_assert!(
-                    (from_hist - exact).abs() / exact <= 1.0 / 64.0,
-                    "hist q={q}: {from_hist} vs {exact}"
-                );
-                prop_assert!(
-                    (from_sketch - from_hist).abs() / exact <= 1.0 / 64.0 + 1.0 / 256.0,
-                    "q={q}: sketch {from_sketch} vs hist {from_hist}"
-                );
             }
         }
     }

@@ -27,8 +27,8 @@ use gms_units::{Duration, SimTime};
 
 use crate::counters::CounterRegistry;
 use crate::event::Event;
-use crate::hist::LogHistogram;
 use crate::recorder::Recorder;
+use crate::sketch::QuantileSketch;
 
 /// Schema tag of the JSON rendering produced by [`metrics_json`].
 pub const METRICS_SCHEMA: &str = "gms-metrics/v1";
@@ -63,7 +63,7 @@ pub struct Window {
     /// this window; indexed like [`crate::ResourceKind::ALL`].
     pub busy: [Duration; 5],
     /// Restart waits of faults completing in this window.
-    pub waits: LogHistogram,
+    pub waits: QuantileSketch,
 }
 
 /// A [`Recorder`] that folds events into fixed windows on the fly.
@@ -72,7 +72,7 @@ pub struct TimeSeriesRecorder {
     window: Duration,
     windows: Vec<Window>,
     nodes: BTreeSet<u32>,
-    all_waits: LogHistogram,
+    all_waits: QuantileSketch,
 }
 
 impl TimeSeriesRecorder {
@@ -88,7 +88,7 @@ impl TimeSeriesRecorder {
             window,
             windows: Vec::new(),
             nodes: BTreeSet::new(),
-            all_waits: LogHistogram::new(),
+            all_waits: QuantileSketch::new(),
         }
     }
 
@@ -125,7 +125,7 @@ impl TimeSeriesRecorder {
 
     /// Restart waits over the whole run (all windows merged).
     #[must_use]
-    pub fn all_waits(&self) -> &LogHistogram {
+    pub fn all_waits(&self) -> &QuantileSketch {
         &self.all_waits
     }
 
@@ -274,7 +274,7 @@ impl TimeSeriesRecorder {
             for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
                 out.push_str(&format!(
                     "gms_wait_seconds{{quantile=\"{label}\"}} {:.9}\n",
-                    self.all_waits.percentile(q) as f64 / 1e9
+                    self.all_waits.quantile(q) as f64 / 1e9
                 ));
             }
         }
@@ -331,22 +331,8 @@ pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
             );
         }
         reg.set("wait_count", w.waits.count());
-        reg.set(
-            "wait_p50_ns",
-            if w.waits.count() > 0 {
-                w.waits.percentile(0.5)
-            } else {
-                0
-            },
-        );
-        reg.set(
-            "wait_p99_ns",
-            if w.waits.count() > 0 {
-                w.waits.percentile(0.99)
-            } else {
-                0
-            },
-        );
+        reg.set("wait_p50_ns", w.waits.quantile(0.5));
+        reg.set("wait_p99_ns", w.waits.quantile(0.99));
         reg.write_json(&mut out);
     }
     out.push_str("]}");

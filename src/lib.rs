@@ -18,7 +18,7 @@
 //! * [`cluster`] — the GMS global-memory substrate (nodes, directory,
 //!   getpage/putpage protocol, epoch replacement).
 //! * [`obs`] — observability: structured fault-lifecycle events,
-//!   log-bucketed latency histograms, and Perfetto/JSON exporters.
+//!   a mergeable latency quantile sketch, and Perfetto/JSON exporters.
 //! * [`core`] — the paper's contribution: subpage fetch policies and the
 //!   trace-driven simulator that evaluates them.
 //!
