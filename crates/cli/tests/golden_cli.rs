@@ -260,12 +260,12 @@ check:sweep/pl_1024__1-4-mem.trace.json b1d4457309f4a39e
 check:sweep/pl_1024__full-mem.summary.json 2e1e5aa121040d8d
 check:sweep/pl_1024__full-mem.trace.json d4d9c8a8d09606c3
 file:cluster-all.heat.json 352b65c03b7e4964
-file:cluster-all.metrics.json 20c8f8159ef0255a
-file:cluster-all.prom.txt bcb1d20f4837df38
-file:cluster-all.summary.json baf2dbb9d3c937b2
+file:cluster-all.metrics.json 4ba3f59873eff06b
+file:cluster-all.prom.txt bcfb17b3e204ff6a
+file:cluster-all.summary.json aaf69ed91fab070b
 file:cluster-all.trace.json 4c8008206725a180
 file:cluster-h.heat.json d8b5432945feeeff
-file:cluster-rep.summary.json eb74f811e42b583e
+file:cluster-rep.summary.json b354f0980a48f7f4
 file:cluster-rep.trace.json 702e76a1ad806c70
 file:explain-cl.explain.json c76c7f61c5866724
 file:explain-cl.trace.json af1a97c623a6dfd7
@@ -290,32 +290,32 @@ file:profile-class.attrib.json c50e32e2af7c4c39
 file:profile-node.attrib.json d5e69e32c17f306c
 file:profile-res.attrib.json d5e69e32c17f306c
 file:run-all.heat.json d22406dbaf2ef32a
-file:run-all.metrics.json faeb8ec981c9c03c
-file:run-all.prom.txt 12f06e19a7b3c24a
-file:run-all.summary.json 3482d5be5d2fa2af
+file:run-all.metrics.json f4d7a2c052a4244b
+file:run-all.prom.txt bbcc99775bc1c8bf
+file:run-all.summary.json b7d24a15a330e76f
 file:run-all.trace.json 09f8aae5d5bfdf65
 file:run-h.heat.json 433ff0a5af78087d
-file:run-h.summary.json 2598516f171edb8e
+file:run-h.summary.json 52ab0693cee27b35
 file:run-leap.trace.json 90ae06e57a43f200
 file:run-m.metrics.json 108e2345c9a80178
 file:sweep.heat.json 1134c322fbab37e5
-file:sweep/indigo_1024__1-2-mem.summary.json ec5cd2fb86123b6e
+file:sweep/indigo_1024__1-2-mem.summary.json ad215af4c4266cb9
 file:sweep/indigo_1024__1-2-mem.trace.json be2efd05f9db6cfc
-file:sweep/indigo_1024__1-4-mem.summary.json ae2bc472d079349d
+file:sweep/indigo_1024__1-4-mem.summary.json 57256a0b0e7a6e62
 file:sweep/indigo_1024__1-4-mem.trace.json aef7baa18bfb14e8
-file:sweep/indigo_1024__full-mem.summary.json ef892610616070d9
+file:sweep/indigo_1024__full-mem.summary.json c1316356adc9f1e6
 file:sweep/indigo_1024__full-mem.trace.json f7efd12c7b5a3ebd
-file:sweep/leap_1024__1-2-mem.summary.json 001a8c3ebd197e4c
+file:sweep/leap_1024__1-2-mem.summary.json 03cce4000c7caa1b
 file:sweep/leap_1024__1-2-mem.trace.json 9544f3ab78dc8401
-file:sweep/leap_1024__1-4-mem.summary.json 1e53fc1ffdfaf226
+file:sweep/leap_1024__1-4-mem.summary.json 65a025cd1f8be39e
 file:sweep/leap_1024__1-4-mem.trace.json fac36ba0d47aa4d2
-file:sweep/leap_1024__full-mem.summary.json b18aeaf009fd8866
+file:sweep/leap_1024__full-mem.summary.json e2296fc85d34ff45
 file:sweep/leap_1024__full-mem.trace.json e180ffdfa9fb5b0c
-file:sweep/pl_1024__1-2-mem.summary.json 0ec27f41afc4e317
+file:sweep/pl_1024__1-2-mem.summary.json 22eba0f960965e86
 file:sweep/pl_1024__1-2-mem.trace.json 41a59bc3aa089a04
-file:sweep/pl_1024__1-4-mem.summary.json c5e53550eb73c9bb
+file:sweep/pl_1024__1-4-mem.summary.json a82e6a706b0131f9
 file:sweep/pl_1024__1-4-mem.trace.json c0b671032f5fcfbb
-file:sweep/pl_1024__full-mem.summary.json 4134b52f60ffd5d5
+file:sweep/pl_1024__full-mem.summary.json 305633d3f8c9f980
 file:sweep/pl_1024__full-mem.trace.json 11af4462896975c9
 stdout:apps f7608063ca47838a
 stdout:cluster 2f82b52d5d5e50d9
@@ -339,18 +339,18 @@ stdout:profile-cluster-node b4f354bfb63edecb
 stdout:profile-cluster-resource d1ba05ecd4fe0ccb
 stdout:profile-node 3de2d8cc700b36a3
 stdout:profile-resource b588d4b8f9dc944b
-stdout:run 6b42098df7c70c08
-stdout:run-all-out d69c856962df32f0
-stdout:run-clock 075c23869ae8686d
-stdout:run-ethernet baf1179d5ac91590
-stdout:run-fault-plan c2cbc43441ac0edc
-stdout:run-fifo f0a2bf408f46ac48
-stdout:run-heat-out 1ceb1be04fff57ce
-stdout:run-metrics-out 5ea8f7c75dc8a7aa
-stdout:run-pal 5991dc3f3a9c48b7
-stdout:run-random2 2023dbee236d045c
-stdout:run-slo 747765c561ec04cc
-stdout:run-trace-out 7450540e25553d7e
+stdout:run 38be74943db79183
+stdout:run-all-out a3a6939ca75a150d
+stdout:run-clock 2320a5e5f6db1160
+stdout:run-ethernet f3ce4873454109c6
+stdout:run-fault-plan 5d08422ffe4d147c
+stdout:run-fifo 9bd00484fb499113
+stdout:run-heat-out 7c75a00173bfc32d
+stdout:run-metrics-out 77334c9c2b1027f3
+stdout:run-pal 2dbbf11390632929
+stdout:run-random2 e02866d9cf78f3f7
+stdout:run-slo 242d756524eb7861
+stdout:run-trace-out e0c27be5e8ca2106
 stdout:sweep 3e8869d50d5ee2f1
 ";
 

@@ -6,13 +6,12 @@
 //! degrade plan. Any engine, policy-layer, GMS or recorder change that
 //! perturbs their output by even one byte fails here.
 //!
-//! The static-policy digests were generated from the pre-refactor
-//! policy layer (the stateless `FetchPolicy::plan_fault` path) and must
-//! survive the `PolicyEngine` refactor unchanged; the adaptive and
-//! chaos digests were generated before the page-keyed maps moved to
-//! the shared deterministic hasher and must survive that unchanged. To
-//! regenerate after an *intentional* output change, run the test and
-//! copy the table it prints on failure.
+//! The digests were last regenerated when every summary moved to the
+//! one `gms-summary/v3` schema with its percentiles read from
+//! `QuantileSketch`; the summary-text and Perfetto-trace parts of every
+//! row were unchanged by that move. To regenerate after an
+//! *intentional* output change, run the test and copy the table it
+//! prints on failure.
 
 use gms_core::{
     cluster_summary_json, run_summary_json, ClusterSim, FaultPlan, FetchPolicy, MemoryConfig,
@@ -130,20 +129,19 @@ fn chaos_digest() -> u64 {
     fnv1a(&text)
 }
 
-/// `(label, serial digest, cluster digest)`: the static policies
-/// generated pre-refactor, the adaptive ones before the hasher change.
+/// `(label, serial digest, cluster digest)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("disk_8192", 0x1c00_9572_d0d0_366f, 0x3874_aa7f_4a21_61bf),
-    ("p_8192", 0x6682_3e5d_3b82_4755, 0x01f4_aa13_5f09_10c1),
-    ("sp_1024", 0x20b5_47c0_d600_d59a, 0x48cc_d50a_65d8_21c9),
-    ("pl_1024", 0x7eb0_97eb_b9a6_e9f1, 0x9179_4c78_6f31_c3b6),
-    ("lazy_1024", 0x0568_1044_b8d1_48e2, 0x2f8d_5d59_06f0_2d34),
-    ("leap_1024", 0x291d_5b23_839a_8b6c, 0x2ff0_f43a_76c8_44e3),
-    ("indigo_1024", 0x4914_d4a8_d5fc_817b, 0x17b6_c510_8d87_872c),
+    ("disk_8192", 0xa2c1_f7c8_fd43_d052, 0xe527_6b3a_fca0_208d),
+    ("p_8192", 0x9ba7_6a02_34c7_b14c, 0x34a6_7098_a5e6_b00d),
+    ("sp_1024", 0x4549_0b08_e780_7f79, 0xacbd_9e88_1045_5044),
+    ("pl_1024", 0xb398_ddc6_7211_c782, 0x3ae5_e711_3765_e910),
+    ("lazy_1024", 0x3f1b_06fc_b497_759d, 0x9401_c4d1_7e1b_5c0b),
+    ("leap_1024", 0x09ff_bc37_510f_50af, 0x9880_be8f_7cf8_2eb8),
+    ("indigo_1024", 0xd801_85ab_4afc_8b27, 0x50e3_2e7a_578f_b83d),
 ];
 
-/// The replicated chaos cell, generated before the hasher change.
-const GOLDEN_CHAOS: u64 = 0xed07_c222_1fbe_1db7;
+/// The replicated chaos cell.
+const GOLDEN_CHAOS: u64 = 0xd440_7e8a_e48d_f65e;
 
 fn assert_golden(policies: Vec<FetchPolicy>) {
     let mut mismatches = Vec::new();
