@@ -3,8 +3,19 @@
 //! the two improvement-potential columns.
 
 use gms_bench::Table;
-use gms_net::{NetParams, Timeline, TransferPlan};
-use gms_units::{Bytes, SimTime};
+use gms_net::{ClusterNetwork, FaultTimeline, NetParams, TransferPlan};
+use gms_units::{Bytes, NodeId, SimTime};
+
+/// One fault on a fresh two-node network: requester and lumped server,
+/// every resource idle.
+fn lone_fault(plan: &TransferPlan) -> FaultTimeline {
+    ClusterNetwork::new(NetParams::paper(), 2).fault(
+        SimTime::ZERO,
+        NodeId::new(0),
+        NodeId::new(1),
+        plan,
+    )
+}
 
 fn main() {
     let page = Bytes::kib(8);
@@ -21,8 +32,7 @@ fn main() {
         ],
     );
 
-    let fullpage =
-        Timeline::new(NetParams::paper()).fault(SimTime::ZERO, &TransferPlan::fullpage(page));
+    let fullpage = lone_fault(&TransferPlan::fullpage(page));
     let full_ms = fullpage.restart_latency().as_millis_f64();
 
     let paper = [
@@ -33,8 +43,7 @@ fn main() {
         (4096, 0.94, 1.23),
     ];
     for (size, paper_sub, paper_rest) in paper {
-        let fault = Timeline::new(NetParams::paper())
-            .fault(SimTime::ZERO, &TransferPlan::eager(page, Bytes::new(size)));
+        let fault = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
         let sub_ms = fault.restart_latency().as_millis_f64();
         let rest_ms = fault.completion_latency().as_millis_f64();
         // "Overlapped Execution": the run window between subpage and

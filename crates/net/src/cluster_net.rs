@@ -8,19 +8,14 @@
 //! pipelines and putpage write-backs from different nodes contend on the
 //! shared switch ports and on the *serving* node's CPU and DMA — the
 //! congestion the paper's §3.2 simulator models for a single node,
-//! extended to many.
-//!
-//! [`crate::Timeline`] is the two-node view of this model (requester plus
-//! one lumped server) and preserves the original single-node semantics
-//! exactly.
+//! extended to many. A two-node network (requester plus one lumped
+//! server) is the paper's single-node pipeline: a fresh one times an
+//! isolated fault, as Table 2 and Figure 2 do.
 
 use gms_units::{Bytes, Duration, NodeId, SimTime};
 
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::timeline::{
-    FaultTimeline, MessageArrival, RecvOverhead, Segment, SendTimeline, TimelineResource,
-    TransferPlan,
-};
+use crate::timeline::{FaultTimeline, MessageArrival, RecvOverhead, SendTimeline, TransferPlan};
 use crate::{NetParams, Resource};
 
 /// The outcome of one getpage transfer attempt under fault injection.
@@ -68,15 +63,15 @@ impl NetResource {
 
 /// One recorded occupancy of a `(node, resource)` pair, available when
 /// [`ClusterNetwork::record_occupancies`] is enabled. Used by causality
-/// tests and Figure-2-style rendering.
+/// tests, tracing and the Figure 2 renderer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
     /// The node whose resource was occupied.
     pub node: NodeId,
     /// Which of the node's resources.
     pub resource: NetResource,
-    /// What the occupancy was for (`"dma-out"`, `"request"`, …) —
-    /// mirrors the `what` labels of [`crate::timeline::Segment`].
+    /// What the occupancy was for (`"fault+request"`, `"dma-out"`,
+    /// `"data"`, …).
     pub what: &'static str,
     /// When the work *entered the queue* for this resource — the instant
     /// its input was available. `start - ready` is the queueing delay
@@ -169,8 +164,7 @@ impl NetResource {
 /// switched interconnect, with the Figure-2 fault pipeline and putpage
 /// sends scheduled over the shared state.
 ///
-/// Modelling choices (shared with [`crate::Timeline`], which is the
-/// two-node case):
+/// Modelling choices:
 ///
 /// * The AN2 is a *switched, full-duplex* ATM network, so a transfer
 ///   from `a` to `b` occupies `a`'s outbound and `b`'s inbound wire
@@ -225,12 +219,6 @@ impl ClusterNetwork {
     #[must_use]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref().map(FaultInjector::plan)
-    }
-
-    /// Whether `node` is crashed at `at` per the installed plan.
-    #[must_use]
-    pub fn node_down(&self, node: NodeId, at: SimTime) -> bool {
-        self.faults.as_ref().is_some_and(|i| i.is_down(node, at))
     }
 
     /// Draws one loss decision for a putpage transfer (one draw per
@@ -313,10 +301,8 @@ impl ClusterNetwork {
     }
 
     /// Outbound-wire busy time summed over all nodes. Equal to
-    /// [`ClusterNetwork::total_wire_in_busy`] whenever every transfer had
-    /// both endpoints modelled (each switched link occupies one inbound
-    /// and one outbound direction for the same interval); detached sends
-    /// add outbound-only time.
+    /// [`ClusterNetwork::total_wire_in_busy`]: each switched link occupies
+    /// one inbound and one outbound direction for the same interval.
     #[must_use]
     pub fn total_wire_out_busy(&self) -> Duration {
         self.nodes
@@ -476,34 +462,21 @@ impl ClusterNetwork {
     ) -> FaultAttempt {
         let p = self.params;
         let scaled = |d: Duration| if factor == 1.0 { d } else { d.mul_f64(factor) };
-        let mut segments = Vec::with_capacity(4 + plan.messages().len() * 5);
 
         // 1. Requester CPU: handle the fault, look up the page's location,
         //    send the request message.
-        let (fstart, fend) = self.acquire(
+        let (_, fend) = self.acquire(
             requester,
             NetResource::Cpu,
             "fault+request",
             at,
             p.fault_cpu,
         );
-        segments.push(Segment {
-            resource: TimelineResource::ReqCpu,
-            what: "fault+request",
-            start: fstart,
-            end: fend,
-        });
 
         // 2. The request message crosses the network. It is tiny, so it
         //    rides between the cells of any bulk transfer: fixed transit
-        //    latency, no queueing.
+        //    latency, no queueing, no booking.
         let qend = fend + p.request_transit;
-        segments.push(Segment {
-            resource: TimelineResource::Wire,
-            what: "request",
-            start: fend,
-            end: qend,
-        });
 
         // A lost request (or a down server) goes no further: the
         // requester's fault CPU is spent, nothing else happens.
@@ -512,19 +485,13 @@ impl ClusterNetwork {
         }
 
         // 3. Server CPU: interpret the request.
-        let (sstart, send_ready) = self.acquire(
+        let (_, send_ready) = self.acquire(
             server,
             NetResource::Cpu,
             "process-request",
             qend,
             p.server_request_cpu,
         );
-        segments.push(Segment {
-            resource: TimelineResource::SrvCpu,
-            what: "process-request",
-            start: sstart,
-            end: send_ready,
-        });
 
         // 4. Each message flows through send-CPU -> server DMA -> wire ->
         //    requester DMA -> receive CPU. Send setups are issued back to
@@ -537,48 +504,30 @@ impl ClusterNetwork {
         let mut aborted = false;
 
         for (index, &size) in plan.messages().iter().enumerate() {
-            let (a, b) = self.acquire(
+            let (_, b) = self.acquire(
                 server,
                 NetResource::Cpu,
                 "send-setup",
                 setup_ready,
                 p.server_send_cpu,
             );
-            segments.push(Segment {
-                resource: TimelineResource::SrvCpu,
-                what: "send-setup",
-                start: a,
-                end: b,
-            });
             setup_ready = b;
 
-            let (a, b) = self.acquire(
+            let (_, b) = self.acquire(
                 server,
                 NetResource::DmaOut,
                 "dma-out",
                 b,
                 p.dma_startup + scaled(p.dma_time(size)),
             );
-            segments.push(Segment {
-                resource: TimelineResource::SrvDma,
-                what: "dma-out",
-                start: a,
-                end: b,
-            });
 
-            let (a, b) = self.acquire_wire(
+            let (_, b) = self.acquire_wire(
                 requester,
                 server,
                 "data",
                 b,
                 p.wire_startup + scaled(p.wire.wire_time(size)),
             );
-            segments.push(Segment {
-                resource: TimelineResource::Wire,
-                what: "data",
-                start: a,
-                end: b,
-            });
 
             // A lost message left the server and crossed the wire, but
             // never reached the application: no requester-side DMA or
@@ -602,19 +551,13 @@ impl ClusterNetwork {
                 continue;
             }
 
-            let (a, rdma_end) = self.acquire(
+            let (_, rdma_end) = self.acquire(
                 requester,
                 NetResource::DmaIn,
                 "dma-in",
                 b,
                 p.dma_startup + scaled(p.dma_time(size)),
             );
-            segments.push(Segment {
-                resource: TimelineResource::ReqDma,
-                what: "dma-in",
-                start: a,
-                end: rdma_end,
-            });
 
             let first = index == 0;
             let charged = first || plan.recv_overhead() == RecvOverhead::Measured;
@@ -622,19 +565,13 @@ impl ClusterNetwork {
                 // The faulting CPU is idle (blocked on this very data):
                 // it takes the interrupt and copies, then resumes.
                 let cost = p.recv_interrupt_cpu + p.copy_time(size);
-                let (a, b) = self.acquire(
+                let (_, b) = self.acquire(
                     requester,
                     NetResource::Cpu,
                     "receive+resume",
                     rdma_end,
                     cost,
                 );
-                segments.push(Segment {
-                    resource: TimelineResource::ReqCpu,
-                    what: "receive+resume",
-                    start: a,
-                    end: b,
-                });
                 (b, cost)
             } else if charged {
                 // Follow-on receives steal CPU from the (running)
@@ -643,14 +580,7 @@ impl ClusterNetwork {
                 // clock — not against this pipeline's CPU resource, which
                 // would double-bill it.
                 let cost = p.recv_interrupt_cpu + p.copy_time(size);
-                let b = rdma_end + cost;
-                segments.push(Segment {
-                    resource: TimelineResource::ReqCpu,
-                    what: "receive",
-                    start: rdma_end,
-                    end: b,
-                });
-                (b, cost)
+                (rdma_end + cost, cost)
             } else {
                 // Idealized controller: data lands in place, valid bits
                 // update, no interrupt.
@@ -687,17 +617,15 @@ impl ClusterNetwork {
             arrivals,
             page_complete_at,
             stolen_cpu: stolen,
-            segments,
         })
     }
 
     /// Schedules an outbound transfer of `size` bytes from `from` to
     /// `to` — e.g. a `putpage` pushing an evicted page to its custodian.
-    /// Unlike [`ClusterNetwork::send_detached`], the *receiving* side is
-    /// fully modelled: the data occupies `to`'s inbound wire direction
-    /// and RX DMA ring, and the receive work (interrupt plus copy)
-    /// occupies its CPU — so a custodian absorbing write-backs serves
-    /// subsequent getpage requests late.
+    /// Both ends are modelled: the data occupies `to`'s inbound wire
+    /// direction and RX DMA ring, and the receive work (interrupt plus
+    /// copy) occupies its CPU — so a custodian absorbing write-backs
+    /// serves subsequent getpage requests late.
     ///
     /// The sending CPU pays only the send setup (the paper's
     /// asynchronous putpage); DMA and wire proceed in the background.
@@ -763,64 +691,264 @@ impl ClusterNetwork {
             delivered_at,
         }
     }
-
-    /// Schedules an outbound transfer whose *receiving* side is an
-    /// unmodelled, uncontended idle node: the sender's CPU, TX DMA and
-    /// outbound wire direction are occupied, and delivery completes after
-    /// fixed receive-side latency. This is the original
-    /// [`crate::Timeline::send`] semantics, kept for the two-node view
-    /// where the lumped server is not a real endpoint.
-    pub fn send_detached(&mut self, at: SimTime, from: NodeId, size: Bytes) -> SendTimeline {
-        let p = self.params;
-        let (_, cpu_free_at) = self.acquire(
-            from,
-            NetResource::Cpu,
-            "putpage-send",
-            at,
-            p.server_send_cpu,
-        );
-        let (_, dma_end) = self.acquire(
-            from,
-            NetResource::DmaOut,
-            "putpage-dma-out",
-            cpu_free_at,
-            p.dma_startup + p.dma_time(size),
-        );
-        let (_, wire_end) = self.acquire(
-            from,
-            NetResource::WireOut,
-            "putpage-data",
-            dma_end,
-            p.wire_startup + p.wire.wire_time(size),
-        );
-        let delivered_at =
-            wire_end + p.dma_startup + p.dma_time(size) + p.recv_interrupt_cpu + p.copy_time(size);
-        SendTimeline {
-            send_at: at,
-            cpu_free_at,
-            delivered_at,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Timeline;
+    use crate::BusyTimes;
+
+    const REQ: NodeId = NodeId::new(0);
+    const SRV: NodeId = NodeId::new(1);
 
     fn plan_1k() -> TransferPlan {
         TransferPlan::eager(Bytes::kib(8), Bytes::new(1024))
     }
 
-    /// The two-node network reproduces the legacy `Timeline` exactly.
+    /// An isolated fault: a fresh two-node network, requester and one
+    /// lumped server, all resources idle.
+    fn lone_fault(plan: &TransferPlan) -> FaultTimeline {
+        ClusterNetwork::new(NetParams::paper(), 2).fault(SimTime::ZERO, REQ, SRV, plan)
+    }
+
+    /// Table 2 of the paper: subpage restart latencies for eager fullpage
+    /// fetch on an 8 KB page, within 10%.
     #[test]
-    fn two_node_fault_matches_timeline() {
+    fn table2_subpage_latencies() {
+        let page = Bytes::kib(8);
+        let cases = [
+            (256u64, 0.45),
+            (512, 0.47),
+            (1024, 0.52),
+            (2048, 0.66),
+            (4096, 0.94),
+        ];
+        for (size, paper_ms) in cases {
+            let fault = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
+            let got = fault.restart_latency().as_millis_f64();
+            let err = (got - paper_ms).abs() / paper_ms;
+            assert!(
+                err < 0.10,
+                "{size} B subpage: got {got:.3} ms, paper {paper_ms} ms"
+            );
+        }
+    }
+
+    /// Table 2: "Rest of Page" arrival latencies, within 10%.
+    #[test]
+    fn table2_rest_of_page_latencies() {
+        let page = Bytes::kib(8);
+        let cases = [
+            (256u64, 1.49),
+            (512, 1.46),
+            (1024, 1.38),
+            (2048, 1.25),
+            (4096, 1.23),
+        ];
+        for (size, paper_ms) in cases {
+            let fault = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
+            let got = fault.completion_latency().as_millis_f64();
+            let err = (got - paper_ms).abs() / paper_ms;
+            assert!(
+                err < 0.10,
+                "{size} B rest: got {got:.3} ms, paper {paper_ms} ms"
+            );
+        }
+    }
+
+    /// Table 2: a full 8 KB page fault restarts in about 1.48 ms.
+    #[test]
+    fn table2_fullpage_latency() {
         let mut net = ClusterNetwork::new(NetParams::paper(), 2);
-        let mut tl = Timeline::new(NetParams::paper());
+        net.record_occupancies();
+        let fault = net.fault(
+            SimTime::ZERO,
+            REQ,
+            SRV,
+            &TransferPlan::fullpage(Bytes::kib(8)),
+        );
+        let got = fault.restart_latency().as_millis_f64();
+        assert!((1.35..1.60).contains(&got), "got {got:.3} ms");
+        // Figure 2: the requester DMA completes at about 1.15 ms.
+        let dma_end = net
+            .occupancies()
+            .iter()
+            .filter(|o| o.node == REQ && o.resource == NetResource::DmaIn)
+            .map(|o| o.end)
+            .max()
+            .expect("dma occupancy");
+        let dma_ms = dma_end.as_millis_f64();
+        assert!((1.00..1.30).contains(&dma_ms), "dma ends {dma_ms:.3} ms");
+    }
+
+    /// §3.1.1: eager fetch with 2 KB subpages completes the whole page
+    /// *sooner* than the monolithic full-page transfer, thanks to
+    /// DMA/wire overlap between the two messages.
+    #[test]
+    fn eager_2k_completes_before_fullpage() {
+        let full = lone_fault(&TransferPlan::fullpage(Bytes::kib(8)));
+        let eager = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(2048)));
+        assert!(eager.page_complete_at < full.page_complete_at);
+    }
+
+    /// §3.1.1: the 1 KB eager case finishes the total operation slightly
+    /// later than the 2 KB case — the first message is "too small" for
+    /// optimal overlap.
+    #[test]
+    fn eager_1k_completion_slightly_worse_than_2k() {
+        let e1k = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(1024)));
+        let e2k = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(2048)));
+        assert!(e1k.page_complete_at > e2k.page_complete_at);
+    }
+
+    /// Restart latency rises monotonically with subpage size.
+    #[test]
+    fn restart_latency_monotonic_in_subpage_size() {
+        let page = Bytes::kib(8);
+        let mut last = Duration::ZERO;
+        for size in [256u64, 512, 1024, 2048, 4096] {
+            let f = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
+            assert!(f.restart_latency() > last, "{size} not monotonic");
+            last = f.restart_latency();
+        }
+    }
+
+    /// Causality: every message arrives after the fault, the first
+    /// message defines resume, and the last defines completion.
+    #[test]
+    fn arrival_invariants() {
+        let plan = TransferPlan::pipelined(
+            Bytes::new(1024),
+            &[Bytes::new(1024), Bytes::new(1024), Bytes::new(5120)],
+            RecvOverhead::Zero,
+        );
+        let f = lone_fault(&plan);
+        assert_eq!(f.arrivals.len(), 4);
+        assert_eq!(f.arrivals[0].available_at, f.resume_at);
+        // Follow-ons share a path and arrive in order. (The first message
+        // may become available *after* an early follow-on, because only
+        // the first message pays the interrupt-plus-copy cost here.)
+        for w in f.arrivals[1..].windows(2) {
+            assert!(w[0].available_at <= w[1].available_at);
+        }
+        for m in &f.arrivals {
+            assert!(m.available_at > f.fault_at);
+        }
+        assert_eq!(
+            f.page_complete_at,
+            f.arrivals
+                .iter()
+                .map(|m| m.available_at)
+                .max()
+                .expect("non-empty")
+        );
+        assert_eq!(f.stolen_cpu, Duration::ZERO, "zero-overhead follow-ons");
+    }
+
+    /// Measured receive overhead charges the requester CPU per follow-on.
+    #[test]
+    fn measured_recv_overhead_steals_cpu() {
+        let plan = TransferPlan::pipelined(
+            Bytes::new(1024),
+            &[Bytes::new(1024); 3],
+            RecvOverhead::Measured,
+        );
+        let f = lone_fault(&plan);
+        // Three follow-ons at 65 us + 1 KB * 36 ns each.
+        let per = Duration::from_micros(65) + Duration::from_nanos(36 * 1024);
+        assert_eq!(f.stolen_cpu, per * 3);
+    }
+
+    /// Back-to-back eager faults contend: the second fault's subpage
+    /// queues behind the first fault's still-in-flight rest-of-page on
+    /// the inbound wire.
+    #[test]
+    fn consecutive_faults_queue_on_the_inbound_wire() {
+        let mut net = ClusterNetwork::new(NetParams::paper(), 2);
         let plan = plan_1k();
-        let from_net = net.fault(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &plan);
-        let from_tl = tl.fault(SimTime::ZERO, &plan);
-        assert_eq!(from_net, from_tl);
+        let f1 = net.fault(SimTime::ZERO, REQ, SRV, &plan);
+        // Fault again the instant the program resumes: f1's 7 KB rest is
+        // still being transferred.
+        let f2 = net.fault(f1.resume_at, REQ, SRV, &plan);
+        let lone = lone_fault(&plan).restart_latency();
+        assert!(
+            f2.restart_latency() > lone + Duration::from_micros(50),
+            "second fault {} vs lone {lone}",
+            f2.restart_latency()
+        );
+        // A third fault issued long after everything drained sees the
+        // lone latency again.
+        let quiet = f2.page_complete_at + Duration::from_millis(10);
+        let f3 = net.fault(quiet, REQ, SRV, &plan);
+        assert_eq!(f3.restart_latency(), lone);
+    }
+
+    /// Overlapping faults: faulting immediately after restart while the
+    /// rest-of-page is in flight delays the rest of page (congestion).
+    #[test]
+    fn overlap_window_is_positive_for_small_subpages() {
+        let f = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(256)));
+        // Table 2: about 50% of the full-page latency is overlappable.
+        let window_ms = f.overlap_window().as_millis_f64();
+        assert!((0.55..0.95).contains(&window_ms), "got {window_ms:.3} ms");
+    }
+
+    #[test]
+    fn busy_time_accumulates_by_direction() {
+        let mut net = ClusterNetwork::new(NetParams::paper(), 2);
+        let busy = |net: &ClusterNetwork, r| net.node(REQ).busy(r);
+        net.fault(
+            SimTime::ZERO,
+            REQ,
+            SRV,
+            &TransferPlan::fullpage(Bytes::kib(8)),
+        );
+        let wire_in = busy(&net, NetResource::WireIn);
+        assert!(wire_in > Duration::ZERO);
+        assert_eq!(
+            busy(&net, NetResource::WireOut),
+            Duration::ZERO,
+            "fetches are inbound"
+        );
+        net.send(SimTime::ZERO, REQ, SRV, Bytes::kib(8));
+        assert!(busy(&net, NetResource::WireOut) > Duration::ZERO);
+        assert_eq!(
+            busy(&net, NetResource::WireIn),
+            wire_in,
+            "sends are outbound"
+        );
+        // An 8 KB page occupies the wire for ~0.47 ms.
+        let times = BusyTimes {
+            wire_in,
+            ..BusyTimes::default()
+        };
+        let util = times.wire_in_utilization(Duration::from_millis(1));
+        assert!((0.4..0.55).contains(&util), "got {util}");
+        assert_eq!(times.wire_in_utilization(Duration::ZERO), 0.0);
+    }
+
+    #[test]
+    fn send_is_asynchronous_and_duplex() {
+        // Putpages go to node 2, so the fetch's server (node 1) stays idle.
+        let mut net = ClusterNetwork::new(NetParams::paper(), 3);
+        let custodian = NodeId::new(2);
+        let s1 = net.send(SimTime::ZERO, REQ, custodian, Bytes::kib(8));
+        // The CPU is released long before delivery completes.
+        assert!(s1.cpu_free_at < s1.delivered_at);
+        let cpu_us = s1.cpu_free_at.elapsed_since(s1.send_at).as_micros_f64();
+        assert!(cpu_us < 50.0, "putpage stalled the CPU for {cpu_us} us");
+        // Consecutive putpages serialize with each other on the outbound
+        // direction.
+        let s2 = net.send(s1.cpu_free_at, REQ, custodian, Bytes::kib(8));
+        assert!(
+            s2.delivered_at.elapsed_since(s2.send_at) > s1.delivered_at.elapsed_since(s1.send_at)
+        );
+        // But an inbound fetch is essentially unaffected: the link is
+        // full duplex and the request message multiplexes between cells.
+        // (Only s2's 25 µs CPU send setup can delay the fault handler.)
+        let full = TransferPlan::fullpage(Bytes::kib(8));
+        let f = net.fault(s2.cpu_free_at, REQ, SRV, &full);
+        assert_eq!(f.restart_latency(), lone_fault(&full).restart_latency());
     }
 
     /// Faults from two different requesters served by two different
@@ -829,9 +957,7 @@ mod tests {
     fn disjoint_node_pairs_do_not_contend() {
         let mut net = ClusterNetwork::new(NetParams::paper(), 4);
         let plan = plan_1k();
-        let lone = ClusterNetwork::new(NetParams::paper(), 2)
-            .fault(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &plan)
-            .restart_latency();
+        let lone = lone_fault(&plan).restart_latency();
         let f1 = net.fault(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &plan);
         let f2 = net.fault(SimTime::ZERO, NodeId::new(2), NodeId::new(3), &plan);
         assert_eq!(f1.restart_latency(), lone);
@@ -844,9 +970,7 @@ mod tests {
     fn shared_custodian_serializes_service() {
         let mut net = ClusterNetwork::new(NetParams::paper(), 3);
         let plan = plan_1k();
-        let lone = ClusterNetwork::new(NetParams::paper(), 2)
-            .fault(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &plan)
-            .restart_latency();
+        let lone = lone_fault(&plan).restart_latency();
         let f1 = net.fault(SimTime::ZERO, NodeId::new(0), NodeId::new(2), &plan);
         let f2 = net.fault(SimTime::ZERO, NodeId::new(1), NodeId::new(2), &plan);
         assert_eq!(f1.restart_latency(), lone);
@@ -863,9 +987,7 @@ mod tests {
     #[test]
     fn putpage_delays_subsequent_getpage_service() {
         let plan = plan_1k();
-        let lone = ClusterNetwork::new(NetParams::paper(), 2)
-            .fault(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &plan)
-            .restart_latency();
+        let lone = lone_fault(&plan).restart_latency();
         let mut net = ClusterNetwork::new(NetParams::paper(), 3);
         let s = net.send(SimTime::ZERO, NodeId::new(1), NodeId::new(2), Bytes::kib(8));
         assert!(s.delivered_at > s.cpu_free_at);

@@ -10,30 +10,29 @@
 //!   framing), [`EthernetLink`] (lightly and heavily loaded variants) and
 //!   [`DiskModel`] (seek + rotation + transfer) — reproduce Figure 1's
 //!   latency-vs-page-size curves.
-//! * [`Timeline`] — the five-resource pipeline of Figure 2 (requester CPU,
-//!   requester DMA, wire, server DMA, server CPU). Scheduling a fault
-//!   through it yields the subpage and rest-of-page latencies of Table 2,
-//!   the component spans of Figure 2, and — because resource busy times
-//!   persist across faults — the congestion delays between overlapping
-//!   faults that the paper's simulator models.
-//! * [`ClusterNetwork`] — the same pipeline generalized to *K* nodes,
-//!   each with its own CPU share, DMA rings and switch-port directions,
-//!   so faults and write-backs from different nodes contend on shared
-//!   state. [`Timeline`] is its two-node (requester + lumped server)
-//!   view.
+//! * [`ClusterNetwork`] — the five-resource pipeline of Figure 2
+//!   (requester CPU, requester DMA, wire, server DMA, server CPU) for *K*
+//!   nodes, each with its own CPU share, DMA rings and switch-port
+//!   directions. Scheduling a fault on a fresh two-node network (one
+//!   requester, one lumped server) yields the subpage and rest-of-page
+//!   latencies of Table 2, and its occupancy log holds the component
+//!   spans of Figure 2. Because resource busy times persist across
+//!   operations, overlapping faults and write-backs from different nodes
+//!   see the congestion delays the paper's simulator models.
 //! * [`NetParams`] — the calibrated constants (fixed CPU costs, DMA and
 //!   copy rates) fitted to the paper's measurements.
 //!
 //! # Examples
 //!
 //! ```
-//! use gms_net::{NetParams, Timeline, TransferPlan};
-//! use gms_units::{Bytes, SimTime};
+//! use gms_net::{ClusterNetwork, NetParams, TransferPlan};
+//! use gms_units::{Bytes, NodeId, SimTime};
 //!
-//! // Fault a 1 KB subpage of an 8 KB page with eager fullpage fetch.
-//! let mut timeline = Timeline::new(NetParams::paper());
+//! // Fault a 1 KB subpage of an 8 KB page with eager fullpage fetch:
+//! // node 0 requests, node 1 serves.
+//! let mut net = ClusterNetwork::new(NetParams::paper(), 2);
 //! let plan = TransferPlan::eager(Bytes::kib(8), Bytes::kib(1));
-//! let fault = timeline.fault(SimTime::ZERO, &plan);
+//! let fault = net.fault(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &plan);
 //! let restart_ms = fault.resume_at.as_millis_f64();
 //! // Paper, Table 2: 0.52 ms.
 //! assert!((0.45..0.60).contains(&restart_ms));
@@ -61,6 +60,5 @@ pub use link::{FixedRateLink, LinkModel};
 pub use params::NetParams;
 pub use resource::Resource;
 pub use timeline::{
-    BusyTimes, FaultTimeline, MessageArrival, RecvOverhead, Segment, SendTimeline, Timeline,
-    TimelineResource, TransferPlan,
+    BusyTimes, FaultTimeline, MessageArrival, RecvOverhead, SendTimeline, TransferPlan,
 };

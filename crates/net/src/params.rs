@@ -6,8 +6,9 @@ use crate::AtmLink;
 
 /// The per-stage timing constants of a remote page fetch.
 ///
-/// These are fitted so the [`Timeline`](crate::Timeline) reproduces the
-/// paper's measurements:
+/// These are fitted so a lone fault on a two-node
+/// [`ClusterNetwork`](crate::ClusterNetwork) reproduces the paper's
+/// measurements:
 ///
 /// * Table 2's subpage restart latencies (0.45 ms at 256 B rising to
 ///   1.48 ms for a full 8 KB page),
@@ -209,8 +210,10 @@ mod tests {
         assert_eq!(eth.copy_ns_per_byte, atm.copy_ns_per_byte);
         // A lone fullpage fault over Ethernet takes several ms —
         // Figure 1's "much worse than disk for transferring large pages".
-        let fault = crate::Timeline::new(eth).fault(
+        let fault = crate::ClusterNetwork::new(eth, 2).fault(
             gms_units::SimTime::ZERO,
+            gms_units::NodeId::new(0),
+            gms_units::NodeId::new(1),
             &crate::TransferPlan::fullpage(Bytes::kib(8)),
         );
         let ms = fault.restart_latency().as_millis_f64();

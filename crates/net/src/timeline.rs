@@ -1,53 +1,7 @@
-//! The five-resource remote-fetch timeline of Figure 2.
+//! What a fault transfers and when its data lands: the plan handed to
+//! [`ClusterNetwork`](crate::ClusterNetwork) and the timings it returns.
 
-use gms_units::{Bytes, Duration, NodeId, SimTime};
-
-use crate::cluster_net::ClusterNetwork;
-use crate::NetParams;
-
-/// One of the five components of a remote paging operation (§3.1.1,
-/// Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TimelineResource {
-    /// Computation on the faulting node.
-    ReqCpu,
-    /// The faulting node's network controller moving data to/from host
-    /// memory.
-    ReqDma,
-    /// Transmission on the network interconnect.
-    Wire,
-    /// The serving node's controller.
-    SrvDma,
-    /// Execution on the serving node.
-    SrvCpu,
-}
-
-impl TimelineResource {
-    /// The label used in Figure 2.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            TimelineResource::ReqCpu => "Req-CPU",
-            TimelineResource::ReqDma => "Req-DMA",
-            TimelineResource::Wire => "Wire",
-            TimelineResource::SrvDma => "Srv-DMA",
-            TimelineResource::SrvCpu => "Srv-CPU",
-        }
-    }
-}
-
-/// A span of work on one resource, for rendering Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// Which resource was occupied.
-    pub resource: TimelineResource,
-    /// What the occupancy was for (e.g. `"fault"`, `"msg0"`).
-    pub what: &'static str,
-    /// Occupancy start.
-    pub start: SimTime,
-    /// Occupancy end.
-    pub end: SimTime,
-}
+use gms_units::{Bytes, Duration, SimTime};
 
 /// Receiver-side CPU cost charged for *follow-on* messages (the faulted
 /// subpage itself always pays the measured interrupt-plus-copy cost).
@@ -186,8 +140,6 @@ pub struct FaultTimeline {
     /// Requester CPU consumed by follow-on receives (interrupts stolen
     /// from the application after it resumed).
     pub stolen_cpu: Duration,
-    /// Per-resource spans for rendering Figure 2.
-    pub segments: Vec<Segment>,
 }
 
 impl FaultTimeline {
@@ -214,108 +166,8 @@ impl FaultTimeline {
     }
 }
 
-/// The shared transfer pipeline: one requester, a full-duplex switched
-/// link, and the serving side.
-///
-/// Resource occupancy persists across faults, so back-to-back faults
-/// contend for the wire and DMA engines exactly as the paper's congestion
-/// modelling requires. Use a fresh `Timeline` to measure an isolated
-/// fault.
-///
-/// Modelling choices (documented deviations from a single shared medium):
-///
-/// * The AN2 is a *switched, full-duplex* ATM network, so inbound fetch
-///   data and outbound putpage data occupy independent directions
-///   (`wire_in` / `wire_out`), as do the controller's RX and TX DMA
-///   rings.
-/// * Tiny control messages (the fault's request) bypass the wire queues:
-///   ATM multiplexes at cell granularity, so a 64-byte request never
-///   waits behind a bulk transfer in any meaningful way. They are charged
-///   their fixed transit latency only.
-/// * All remote servers are lumped into one serving node (one
-///   `srv_dma`/`srv_cpu` pair) — a slight over-serialization when
-///   consecutive faults hit different idle nodes; the requester's inbound
-///   link is the real bottleneck. For per-custodian service, use
-///   [`ClusterNetwork`] directly.
-///
-/// Internally this *is* a two-node [`ClusterNetwork`] — node 0 the
-/// requester, node 1 the lumped server — so the single-node engine and
-/// the cluster simulator share one scheduling implementation.
-#[derive(Debug, Clone)]
-pub struct Timeline {
-    net: ClusterNetwork,
-}
-
-/// The requesting side of the two-node view.
-const REQUESTER: NodeId = NodeId::new(0);
-/// The lumped serving side of the two-node view.
-const SERVER: NodeId = NodeId::new(1);
-
-impl Timeline {
-    /// A timeline with all resources idle.
-    #[must_use]
-    pub fn new(params: NetParams) -> Self {
-        Timeline {
-            net: ClusterNetwork::new(params, 2),
-        }
-    }
-
-    /// The timing constants in use.
-    #[must_use]
-    pub fn params(&self) -> &NetParams {
-        self.net.params()
-    }
-
-    /// Cumulative busy time per resource, for utilization analysis:
-    /// `(req_cpu, req_dma_in, req_dma_out, wire_in, wire_out, srv_dma,
-    /// srv_cpu)`.
-    #[must_use]
-    pub fn busy_times(&self) -> BusyTimes {
-        use crate::cluster_net::NetResource;
-        let req = self.net.node(REQUESTER);
-        let srv = self.net.node(SERVER);
-        BusyTimes {
-            req_cpu: req.busy(NetResource::Cpu),
-            req_dma_in: req.busy(NetResource::DmaIn),
-            req_dma_out: req.busy(NetResource::DmaOut),
-            wire_in: req.busy(NetResource::WireIn),
-            wire_out: req.busy(NetResource::WireOut),
-            srv_dma: srv.busy(NetResource::DmaOut),
-            srv_cpu: srv.busy(NetResource::Cpu),
-        }
-    }
-
-    /// Schedules a fault occurring at `at` that transfers `plan`, and
-    /// returns the complete timing breakdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes a time the requester CPU is already
-    /// committed past and the clock would run backwards (callers should
-    /// fault at monotonically non-decreasing times).
-    pub fn fault(&mut self, at: SimTime, plan: &TransferPlan) -> FaultTimeline {
-        self.net.fault(at, REQUESTER, SERVER, plan)
-    }
-
-    /// Starts recording every resource occupancy on the underlying
-    /// two-node network (off by default), for tracing and Figure-2-style
-    /// rendering. Passthrough to
-    /// [`ClusterNetwork::record_occupancies`].
-    pub fn record_occupancies(&mut self) {
-        self.net.record_occupancies();
-    }
-
-    /// The recorded occupancies, in acquisition order (node 0 is the
-    /// requester, node 1 the lumped server). Empty unless
-    /// [`Timeline::record_occupancies`] was called.
-    #[must_use]
-    pub fn occupancies(&self) -> &[crate::cluster_net::Occupancy] {
-        self.net.occupancies()
-    }
-}
-
-/// Cumulative busy time per pipeline resource. Produced by
-/// [`Timeline::busy_times`].
+/// Cumulative busy time per pipeline resource of one requester and the
+/// serving side, as a run report carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BusyTimes {
     /// Requester CPU (fault handling and first-message receives).
@@ -360,230 +212,9 @@ pub struct SendTimeline {
     pub delivered_at: SimTime,
 }
 
-impl Timeline {
-    /// Schedules an outbound transfer of `size` bytes from the requester
-    /// to another node (the reverse direction of [`Timeline::fault`]),
-    /// occupying the outbound DMA ring and wire direction — so
-    /// back-to-back evictions serialize with each other, but not with
-    /// inbound fetch data (the link is full duplex).
-    ///
-    /// Models the paper's asynchronous putpage: the sending CPU pays only
-    /// the send setup; DMA and wire proceed in the background. The
-    /// receiving node is an arbitrary idle server, modelled as
-    /// uncontended fixed latency ([`ClusterNetwork::send_detached`]).
-    pub fn send(&mut self, at: SimTime, size: Bytes) -> SendTimeline {
-        self.net.send_detached(at, REQUESTER, size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lone_fault(plan: &TransferPlan) -> FaultTimeline {
-        Timeline::new(NetParams::paper()).fault(SimTime::ZERO, plan)
-    }
-
-    /// Table 2 of the paper: subpage restart latencies for eager fullpage
-    /// fetch on an 8 KB page, within 10%.
-    #[test]
-    fn table2_subpage_latencies() {
-        let page = Bytes::kib(8);
-        let cases = [
-            (256u64, 0.45),
-            (512, 0.47),
-            (1024, 0.52),
-            (2048, 0.66),
-            (4096, 0.94),
-        ];
-        for (size, paper_ms) in cases {
-            let fault = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
-            let got = fault.restart_latency().as_millis_f64();
-            let err = (got - paper_ms).abs() / paper_ms;
-            assert!(
-                err < 0.10,
-                "{size} B subpage: got {got:.3} ms, paper {paper_ms} ms"
-            );
-        }
-    }
-
-    /// Table 2: "Rest of Page" arrival latencies, within 10%.
-    #[test]
-    fn table2_rest_of_page_latencies() {
-        let page = Bytes::kib(8);
-        let cases = [
-            (256u64, 1.49),
-            (512, 1.46),
-            (1024, 1.38),
-            (2048, 1.25),
-            (4096, 1.23),
-        ];
-        for (size, paper_ms) in cases {
-            let fault = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
-            let got = fault.completion_latency().as_millis_f64();
-            let err = (got - paper_ms).abs() / paper_ms;
-            assert!(
-                err < 0.10,
-                "{size} B rest: got {got:.3} ms, paper {paper_ms} ms"
-            );
-        }
-    }
-
-    /// Table 2: a full 8 KB page fault restarts in about 1.48 ms.
-    #[test]
-    fn table2_fullpage_latency() {
-        let fault = lone_fault(&TransferPlan::fullpage(Bytes::kib(8)));
-        let got = fault.restart_latency().as_millis_f64();
-        assert!((1.35..1.60).contains(&got), "got {got:.3} ms");
-        // Figure 2: the requester DMA completes at about 1.15 ms.
-        let dma_end = fault
-            .segments
-            .iter()
-            .filter(|s| s.resource == TimelineResource::ReqDma)
-            .map(|s| s.end)
-            .max()
-            .expect("dma segment");
-        let dma_ms = dma_ms_of(dma_end);
-        assert!((1.00..1.30).contains(&dma_ms), "dma ends {dma_ms:.3} ms");
-    }
-
-    fn dma_ms_of(t: SimTime) -> f64 {
-        t.as_millis_f64()
-    }
-
-    /// §3.1.1: eager fetch with 2 KB subpages completes the whole page
-    /// *sooner* than the monolithic full-page transfer, thanks to
-    /// DMA/wire overlap between the two messages.
-    #[test]
-    fn eager_2k_completes_before_fullpage() {
-        let full = lone_fault(&TransferPlan::fullpage(Bytes::kib(8)));
-        let eager = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(2048)));
-        assert!(eager.page_complete_at < full.page_complete_at);
-    }
-
-    /// §3.1.1: the 1 KB eager case finishes the total operation slightly
-    /// later than the 2 KB case — the first message is "too small" for
-    /// optimal overlap.
-    #[test]
-    fn eager_1k_completion_slightly_worse_than_2k() {
-        let e1k = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(1024)));
-        let e2k = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(2048)));
-        assert!(e1k.page_complete_at > e2k.page_complete_at);
-    }
-
-    /// Restart latency rises monotonically with subpage size.
-    #[test]
-    fn restart_latency_monotonic_in_subpage_size() {
-        let page = Bytes::kib(8);
-        let mut last = Duration::ZERO;
-        for size in [256u64, 512, 1024, 2048, 4096] {
-            let f = lone_fault(&TransferPlan::eager(page, Bytes::new(size)));
-            assert!(f.restart_latency() > last, "{size} not monotonic");
-            last = f.restart_latency();
-        }
-    }
-
-    /// Causality: every message arrives after the fault, the first
-    /// message defines resume, and the last defines completion.
-    #[test]
-    fn arrival_invariants() {
-        let plan = TransferPlan::pipelined(
-            Bytes::new(1024),
-            &[Bytes::new(1024), Bytes::new(1024), Bytes::new(5120)],
-            RecvOverhead::Zero,
-        );
-        let f = lone_fault(&plan);
-        assert_eq!(f.arrivals.len(), 4);
-        assert_eq!(f.arrivals[0].available_at, f.resume_at);
-        // Follow-ons share a path and arrive in order. (The first message
-        // may become available *after* an early follow-on, because only
-        // the first message pays the interrupt-plus-copy cost here.)
-        for w in f.arrivals[1..].windows(2) {
-            assert!(w[0].available_at <= w[1].available_at);
-        }
-        for m in &f.arrivals {
-            assert!(m.available_at > f.fault_at);
-        }
-        assert_eq!(
-            f.page_complete_at,
-            f.arrivals
-                .iter()
-                .map(|m| m.available_at)
-                .max()
-                .expect("non-empty")
-        );
-        assert_eq!(f.stolen_cpu, Duration::ZERO, "zero-overhead follow-ons");
-    }
-
-    /// Measured receive overhead charges the requester CPU per follow-on.
-    #[test]
-    fn measured_recv_overhead_steals_cpu() {
-        let plan = TransferPlan::pipelined(
-            Bytes::new(1024),
-            &[Bytes::new(1024); 3],
-            RecvOverhead::Measured,
-        );
-        let f = lone_fault(&plan);
-        // Three follow-ons at 65 us + 1 KB * 36 ns each.
-        let per = Duration::from_micros(65) + Duration::from_nanos(36 * 1024);
-        assert_eq!(f.stolen_cpu, per * 3);
-    }
-
-    /// Back-to-back eager faults contend: the second fault's subpage
-    /// queues behind the first fault's still-in-flight rest-of-page on
-    /// the inbound wire.
-    #[test]
-    fn consecutive_faults_queue_on_the_inbound_wire() {
-        let mut tl = Timeline::new(NetParams::paper());
-        let plan = TransferPlan::eager(Bytes::kib(8), Bytes::new(1024));
-        let f1 = tl.fault(SimTime::ZERO, &plan);
-        // Fault again the instant the program resumes: f1's 7 KB rest is
-        // still being transferred.
-        let f2 = tl.fault(f1.resume_at, &plan);
-        let lone = lone_fault(&plan).restart_latency();
-        assert!(
-            f2.restart_latency() > lone + Duration::from_micros(50),
-            "second fault {} vs lone {lone}",
-            f2.restart_latency()
-        );
-        // A third fault issued long after everything drained sees the
-        // lone latency again.
-        let quiet = f2.page_complete_at + Duration::from_millis(10);
-        let f3 = tl.fault(quiet, &plan);
-        assert_eq!(f3.restart_latency(), lone);
-    }
-
-    /// Overlapping faults: faulting immediately after restart while the
-    /// rest-of-page is in flight delays the rest of page (congestion).
-    #[test]
-    fn overlap_window_is_positive_for_small_subpages() {
-        let f = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(256)));
-        // Table 2: about 50% of the full-page latency is overlappable.
-        let window_ms = f.overlap_window().as_millis_f64();
-        assert!((0.55..0.95).contains(&window_ms), "got {window_ms:.3} ms");
-    }
-
-    #[test]
-    fn busy_times_accumulate_by_direction() {
-        let mut tl = Timeline::new(NetParams::paper());
-        let before = tl.busy_times();
-        assert_eq!(before, BusyTimes::default());
-        tl.fault(SimTime::ZERO, &TransferPlan::fullpage(Bytes::kib(8)));
-        let after_fetch = tl.busy_times();
-        assert!(after_fetch.wire_in > Duration::ZERO);
-        assert_eq!(after_fetch.wire_out, Duration::ZERO, "fetches are inbound");
-        tl.send(SimTime::ZERO, Bytes::kib(8));
-        let after_send = tl.busy_times();
-        assert!(after_send.wire_out > Duration::ZERO);
-        assert_eq!(
-            after_send.wire_in, after_fetch.wire_in,
-            "sends are outbound"
-        );
-        // An 8 KB page occupies the wire for ~0.47 ms.
-        let util = after_send.wire_in_utilization(Duration::from_millis(1));
-        assert!((0.4..0.55).contains(&util), "got {util}");
-        assert_eq!(after_send.wire_in_utilization(Duration::ZERO), 0.0);
-    }
 
     #[test]
     fn plan_constructors_validate() {
@@ -605,37 +236,5 @@ mod tests {
     #[should_panic(expected = "at least one message")]
     fn empty_plan_panics() {
         let _ = TransferPlan::new(vec![], RecvOverhead::Measured);
-    }
-
-    #[test]
-    fn send_is_asynchronous_and_duplex() {
-        let mut tl = Timeline::new(NetParams::paper());
-        let s1 = tl.send(SimTime::ZERO, Bytes::kib(8));
-        // The CPU is released long before delivery completes.
-        assert!(s1.cpu_free_at < s1.delivered_at);
-        let cpu_us = s1.cpu_free_at.elapsed_since(s1.send_at).as_micros_f64();
-        assert!(cpu_us < 50.0, "putpage stalled the CPU for {cpu_us} us");
-        // Consecutive putpages serialize with each other on the outbound
-        // direction.
-        let s2 = tl.send(s1.cpu_free_at, Bytes::kib(8));
-        assert!(
-            s2.delivered_at.elapsed_since(s2.send_at) > s1.delivered_at.elapsed_since(s1.send_at)
-        );
-        // But an inbound fetch is essentially unaffected: the link is
-        // full duplex and the request message multiplexes between cells.
-        // (Only s2's 25 µs CPU send setup can delay the fault handler.)
-        let f = tl.fault(s2.cpu_free_at, &TransferPlan::fullpage(Bytes::kib(8)));
-        let lone = Timeline::new(NetParams::paper())
-            .fault(SimTime::ZERO, &TransferPlan::fullpage(Bytes::kib(8)));
-        assert_eq!(f.restart_latency(), lone.restart_latency());
-    }
-
-    #[test]
-    fn segments_are_causally_ordered_within_a_message() {
-        let f = lone_fault(&TransferPlan::eager(Bytes::kib(8), Bytes::new(1024)));
-        for s in &f.segments {
-            assert!(s.end >= s.start, "segment {s:?}");
-            assert!(s.start >= f.fault_at);
-        }
     }
 }
