@@ -25,7 +25,7 @@
 use gms_cluster::Gms;
 use gms_mem::{
     FramePool, Geometry, PageId, PageMap, PageState, PageTable, PalEmulator, ReplacementPolicy,
-    SubpageIndex, Tlb,
+    SubpageIndex, SubpageMask, Tlb,
 };
 use gms_net::{
     BusyTimes, ClusterNetwork, DiskModel, FaultAttempt, FaultTimeline, LinkModel, NetResource,
@@ -508,10 +508,10 @@ pub(crate) struct NodeDriver<'a> {
     /// too: every batched segment reports its touches before its
     /// recency touch, in trace order, as the slow path does.
     adaptive: bool,
-    /// Outstanding prefetch predictions per page: bitmask of subpages
-    /// fetched beyond the demanded one and not yet touched. The window
-    /// closes at eviction; whatever is still set was moved for nothing.
-    predicted: PageMap<u64>,
+    /// Outstanding prefetch predictions per page: the subpages fetched
+    /// beyond the demanded one and not yet touched. The window closes at
+    /// eviction; whatever is still set was moved for nothing.
+    predicted: PageMap<SubpageMask>,
     prefetched_subpages: u64,
     mispredicted_prefetch_bytes: u64,
     /// Which node served each resident remotely-fetched page; lazy
@@ -539,7 +539,7 @@ pub(crate) struct NodeDriver<'a> {
     fell_back_to_disk: u64,
     /// Subpages whose carrier message was lost in flight, per resident
     /// page: the hole is discovered and re-fetched at touch time.
-    lost_subs: FastMap<PageId, Vec<SubpageIndex>>,
+    lost_subs: FastMap<PageId, SubpageMask>,
 }
 
 impl<'a> NodeDriver<'a> {
@@ -772,13 +772,13 @@ impl<'a> NodeDriver<'a> {
         }
         let geom = self.geom;
         let at = |i: u64| VirtAddr::new((addr.get() as i64 + stride * i as i64) as u64);
-        let mut touched = 0u64;
+        let mut touched = SubpageMask::empty(geom.subpages_per_page());
         let mut touch = |sub: SubpageIndex| {
             self.engine.observe(crate::PolicyEvent::Touch {
                 page: page.get(),
                 subpage: sub,
             });
-            touched |= 1u64 << sub.get();
+            touched.set(sub);
         };
         if stride.unsigned_abs() <= geom.subpage_size().bytes().get() {
             // No step skips a subpage, so the segment visits every
@@ -802,10 +802,10 @@ impl<'a> NodeDriver<'a> {
     /// Marks predicted subpages as actually touched: they leave the
     /// page's outstanding-prediction mask and will not be billed as
     /// mispredicted when the window closes.
-    fn retire_predictions(&mut self, page: PageId, touched: u64) {
+    fn retire_predictions(&mut self, page: PageId, touched: SubpageMask) {
         if let Some(mask) = self.predicted.get_mut(page) {
-            *mask &= !touched;
-            if *mask == 0 {
+            *mask = mask.difference(touched);
+            if mask.is_empty() {
                 self.predicted.remove(page);
             }
         }
@@ -1034,7 +1034,8 @@ impl<'a> NodeDriver<'a> {
                 page: page.get(),
                 subpage: sub,
             });
-            self.retire_predictions(page, 1u64 << sub.get());
+            let touched = SubpageMask::single(self.geom.subpages_per_page(), sub);
+            self.retire_predictions(page, touched);
         }
         if self.table.get(page).expect("resident").mask.contains(sub) {
             return;
@@ -1069,7 +1070,7 @@ impl<'a> NodeDriver<'a> {
             }
             None => {
                 let lost = self.events.lost_pending(page, sub)
-                    || self.lost_subs.get(&page).is_some_and(|v| v.contains(&sub));
+                    || self.lost_subs.get(&page).is_some_and(|m| m.contains(sub));
                 if lost {
                     // The carrier message was dropped in flight: re-fetch
                     // the subpage from the custodian, lazily, at the point
@@ -1102,26 +1103,22 @@ impl<'a> NodeDriver<'a> {
             return;
         }
         for arrival in &due {
+            let state = self.table.get_mut(page).expect("resident");
             if arrival.lost {
                 // The message never landed: remember the holes so a later
                 // touch re-fetches them instead of waiting forever. Holes
                 // already refilled (or carried by an earlier message) are
                 // not holes.
-                let state = self.table.get(page).expect("resident");
-                let holes: Vec<SubpageIndex> = arrival
-                    .subpages
-                    .iter()
-                    .copied()
-                    .filter(|&s| !state.mask.contains(s))
-                    .collect();
+                let holes = arrival.subpages.difference(state.mask);
                 if !holes.is_empty() {
-                    self.lost_subs.entry(page).or_default().extend(holes);
+                    self.lost_subs
+                        .entry(page)
+                        .and_modify(|m| m.union_with(holes))
+                        .or_insert(holes);
                 }
                 continue;
             }
-            for &s in &arrival.subpages {
-                self.table.mark_valid(page, s);
-            }
+            state.mask.union_with(arrival.subpages);
         }
         self.pal.page_state_changed(page);
         if !charge {
@@ -1415,34 +1412,34 @@ impl<'a> NodeDriver<'a> {
                     .zip(&ft.arrivals[1..])
                     .filter(|(_, arr)| !arr.lost);
                 for (msg, (subs, arr)) in survivors.enumerate() {
-                    let subpages = subs.iter().fold(0u64, |m, s| m | (1 << s.get()));
                     ctx.rec.record(Event::Arrival {
                         node: self.node,
                         page: page.get(),
                         msg: msg as u8,
                         at: arr.available_at,
-                        subpages,
+                        subpages: subs.bits(),
                     });
                 }
             }
         }
 
-        // Install the initial message's subpages; queue the rest.
-        let mut state = PageState::partial(n_sub, plan.groups()[0][0]);
-        for &s in &plan.groups()[0][1..] {
-            state.mask.set(s);
-        }
-        // Lazy refaults re-install pages... (pages are whole-page absent
-        // here, so plain insert is correct).
-        self.table.insert(page, state);
+        // Install the initial message's subpages; queue the rest. (The
+        // page is wholly absent here, so a plain insert is correct.)
+        self.table.insert(
+            page,
+            PageState {
+                mask: plan.groups()[0],
+                dirty: false,
+            },
+        );
 
         if plan.groups().len() > 1 {
             let arrivals: Vec<Arrival> = plan.groups()[1..]
                 .iter()
                 .zip(&ft.arrivals[1..])
-                .map(|(subs, arr)| Arrival {
+                .map(|(&subpages, arr)| Arrival {
                     available_at: arr.available_at,
-                    subpages: subs.clone(),
+                    subpages,
                     recv_cpu: arr.recv_cpu,
                     lost: arr.lost,
                 })
@@ -1453,20 +1450,19 @@ impl<'a> NodeDriver<'a> {
         if self.adaptive {
             // Everything beyond the demanded subpage was the engine's
             // prediction; track it until touched or evicted.
-            let mask = plan
-                .groups()
-                .iter()
-                .flatten()
-                .fold(0u64, |m, s| m | (1u64 << s.get()))
-                & !(1u64 << sub.get());
-            if mask != 0 {
-                self.prefetched_subpages += u64::from(mask.count_ones());
+            let mut mask = SubpageMask::empty(n_sub);
+            for &group in plan.groups() {
+                mask.union_with(group);
+            }
+            mask.clear(sub);
+            if !mask.is_empty() {
+                self.prefetched_subpages += u64::from(mask.count());
                 self.predicted.insert(page, mask);
                 if R::ENABLED {
                     ctx.rec.record(Event::Prefetch {
                         node: self.node,
                         page: page.get(),
-                        subpages: mask,
+                        subpages: mask.bits(),
                         sub_bytes: self.geom.subpage_size().bytes().get() as u32,
                         unused: false,
                         at: self.clock,
@@ -1567,8 +1563,8 @@ impl<'a> NodeDriver<'a> {
             ctx.sync_log_pause();
         }
         self.table.mark_valid(page, sub);
-        if let Some(subs) = self.lost_subs.get_mut(&page) {
-            subs.retain(|&s| s != sub);
+        if let Some(holes) = self.lost_subs.get_mut(&page) {
+            holes.clear(sub);
         }
         self.pal.page_state_changed(page);
         self.faults.record(kind);
@@ -1644,12 +1640,12 @@ impl<'a> NodeDriver<'a> {
             // The prefetch window closes with the page: whatever the
             // program never touched was moved for nothing.
             let sub_bytes = self.geom.subpage_size().bytes().get() as u32;
-            self.mispredicted_prefetch_bytes += u64::from(mask.count_ones()) * u64::from(sub_bytes);
+            self.mispredicted_prefetch_bytes += u64::from(mask.count()) * u64::from(sub_bytes);
             if R::ENABLED {
                 ctx.rec.record(Event::Prefetch {
                     node: self.node,
                     page: victim.get(),
-                    subpages: mask,
+                    subpages: mask.bits(),
                     sub_bytes,
                     unused: true,
                     at: self.clock,
@@ -2176,9 +2172,11 @@ mod tests {
         let mut source = VecSource::new(vec![run]);
         let report = sim.run_trace(&mut source, region.len(), region.start());
         let avg = report.sp_latency / report.faults.total();
-        let lone = gms_net::Timeline::new(gms_net::NetParams::paper())
+        let lone = ClusterNetwork::new(gms_net::NetParams::paper(), 2)
             .fault(
-                gms_units::SimTime::ZERO,
+                SimTime::ZERO,
+                NodeId::new(0),
+                NodeId::new(1),
                 &TransferPlan::eager(Bytes::kib(8), Bytes::kib(1)),
             )
             .restart_latency();

@@ -8,16 +8,16 @@
 //! structure so the driver's stall logic, overlap attribution and
 //! eviction bookkeeping all consult a single queue.
 
-use gms_mem::{PageId, SubpageIndex};
+use gms_mem::{PageId, SubpageIndex, SubpageMask};
 use gms_units::{Duration, FastMap, SimTime};
 
 /// One follow-on message still on its way to a resident page.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Arrival {
     /// Instant the message's data is usable by the application.
     pub available_at: SimTime,
     /// The subpages the message carries.
-    pub subpages: Vec<SubpageIndex>,
+    pub subpages: SubpageMask,
     /// CPU the receive interrupt steals *if* the program is running when
     /// it fires (it is free while the program is stalled anyway — the
     /// paper's Table 2 deducts this overhead from the overlap window,
@@ -93,7 +93,7 @@ impl EventCore {
         self.pending.get(&page).and_then(|p| {
             p.arrivals[p.next..]
                 .iter()
-                .find(|a| !a.lost && a.subpages.contains(&sub))
+                .find(|a| !a.lost && a.subpages.contains(sub))
                 .map(|a| a.available_at)
         })
     }
@@ -104,7 +104,7 @@ impl EventCore {
         self.pending.get(&page).is_some_and(|p| {
             p.arrivals[p.next..]
                 .iter()
-                .any(|a| a.lost && a.subpages.contains(&sub))
+                .any(|a| a.lost && a.subpages.contains(sub))
         })
     }
 
@@ -124,19 +124,11 @@ impl EventCore {
         let Some(p) = self.pending.get_mut(&page) else {
             return Vec::new();
         };
-        let mut due = Vec::new();
+        let first = p.next;
         while p.next < p.arrivals.len() && p.arrivals[p.next].available_at <= now {
-            due.push(std::mem::replace(
-                &mut p.arrivals[p.next],
-                Arrival {
-                    available_at: SimTime::ZERO,
-                    subpages: Vec::new(),
-                    recv_cpu: Duration::ZERO,
-                    lost: false,
-                },
-            ));
             p.next += 1;
         }
+        let due = p.arrivals[first..p.next].to_vec();
         if p.next == p.arrivals.len() {
             self.pending.remove(&page);
         }
@@ -157,7 +149,7 @@ mod tests {
     fn arrival(at_ns: u64, sub: u8) -> Arrival {
         Arrival {
             available_at: SimTime::from_nanos(at_ns),
-            subpages: vec![SubpageIndex::new(sub)],
+            subpages: SubpageMask::single(8, SubpageIndex::new(sub)),
             recv_cpu: Duration::ZERO,
             lost: false,
         }
@@ -180,7 +172,10 @@ mod tests {
         );
         let due = ev.pop_due(page, SimTime::from_nanos(250));
         assert_eq!(due.len(), 2);
-        assert_eq!(due[0].subpages, vec![SubpageIndex::new(1)]);
+        assert_eq!(
+            due[0].subpages,
+            SubpageMask::single(8, SubpageIndex::new(1))
+        );
         // Already-popped arrivals are no longer waited on.
         assert_eq!(ev.waiting_arrival(page, SubpageIndex::new(1)), None);
         let rest = ev.pop_due(page, SimTime::from_nanos(1000));

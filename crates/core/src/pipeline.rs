@@ -7,7 +7,7 @@
 //! from observed fault history — the engine downstream of the plan
 //! never knows or cares which produced it.
 
-use gms_mem::{Geometry, SubpageIndex};
+use gms_mem::{Geometry, SubpageIndex, SubpageMask};
 use gms_units::Bytes;
 
 /// How the rest of a faulted page is sequenced behind the initial
@@ -45,17 +45,17 @@ pub enum PipelineStrategy {
 /// the eager/fullpage planners in [`crate::FetchPolicy`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessagePlan {
-    groups: Vec<Vec<SubpageIndex>>,
+    groups: Vec<SubpageMask>,
 }
 
 impl MessagePlan {
-    /// Creates a plan from explicit per-message subpage groups.
+    /// Creates a plan from explicit per-message subpage sets.
     ///
     /// # Panics
     ///
     /// Panics if there are no groups or any group is empty.
     #[must_use]
-    pub fn new(groups: Vec<Vec<SubpageIndex>>) -> Self {
+    pub fn new(groups: Vec<SubpageMask>) -> Self {
         assert!(!groups.is_empty(), "a plan needs at least one message");
         assert!(
             groups.iter().all(|g| !g.is_empty()),
@@ -64,9 +64,9 @@ impl MessagePlan {
         MessagePlan { groups }
     }
 
-    /// Per-message subpage payloads, initial message first.
+    /// Per-message subpage sets, initial message first.
     #[must_use]
-    pub fn groups(&self) -> &[Vec<SubpageIndex>] {
+    pub fn groups(&self) -> &[SubpageMask] {
         &self.groups
     }
 
@@ -75,14 +75,8 @@ impl MessagePlan {
     pub fn message_sizes(&self, geom: Geometry) -> Vec<Bytes> {
         self.groups
             .iter()
-            .map(|g| geom.subpage_size().bytes() * g.len() as u64)
+            .map(|g| geom.subpage_size().bytes() * u64::from(g.count()))
             .collect()
-    }
-
-    /// Total subpages carried.
-    #[must_use]
-    pub fn total_subpages(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
     }
 }
 
@@ -103,83 +97,68 @@ impl PipelineStrategy {
         faulted: SubpageIndex,
         offset_in_subpage: f64,
     ) -> MessagePlan {
-        let n = geom.subpages_per_page() as u8;
+        let n = geom.subpages_per_page();
         let f = faulted.get();
-        debug_assert!(f < n);
-        if n == 1 {
-            return MessagePlan::new(vec![vec![faulted]]);
-        }
-
-        let mut groups: Vec<Vec<SubpageIndex>> = Vec::new();
-        let mut remaining: Vec<u8> = (0..n).filter(|&i| i != f).collect();
-        let take = |remaining: &mut Vec<u8>, i: u8| -> Option<SubpageIndex> {
-            remaining
-                .iter()
-                .position(|&x| x == i)
-                .map(|pos| SubpageIndex::new(remaining.remove(pos)))
+        debug_assert!(u32::from(f) < n);
+        let one = |s: SubpageIndex| SubpageMask::single(n, s);
+        let mut remaining = SubpageMask::full(n).difference(one(faulted));
+        // Moves subpage `i` out of `remaining`, if it is still there.
+        let take = |remaining: &mut SubpageMask, i: u8| -> Option<SubpageIndex> {
+            let s = (u32::from(i) < n).then(|| SubpageIndex::new(i))?;
+            remaining.clear(s).then_some(s)
         };
 
+        let mut groups = Vec::new();
         match self {
             PipelineStrategy::NeighborsFirst => {
-                groups.push(vec![faulted]);
-                if let Some(next) = f
-                    .checked_add(1)
-                    .filter(|&i| i < n)
-                    .and_then(|i| take(&mut remaining, i))
-                {
-                    groups.push(vec![next]);
+                groups.push(one(faulted));
+                if let Some(next) = f.checked_add(1).and_then(|i| take(&mut remaining, i)) {
+                    groups.push(one(next));
                 }
                 if let Some(prev) = f.checked_sub(1).and_then(|i| take(&mut remaining, i)) {
-                    groups.push(vec![prev]);
+                    groups.push(one(prev));
                 }
             }
             PipelineStrategy::Ascending => {
-                groups.push(vec![faulted]);
-                for i in f + 1..n {
+                groups.push(one(faulted));
+                for i in (f + 1..n as u8).chain((0..f).rev()) {
                     if let Some(s) = take(&mut remaining, i) {
-                        groups.push(vec![s]);
-                    }
-                }
-                for i in (0..f).rev() {
-                    if let Some(s) = take(&mut remaining, i) {
-                        groups.push(vec![s]);
+                        groups.push(one(s));
                     }
                 }
             }
             PipelineStrategy::DoubledFollowOn => {
-                groups.push(vec![faulted]);
-                let mut double = Vec::new();
+                groups.push(one(faulted));
+                let mut double = SubpageMask::empty(n);
                 for i in [f.checked_add(1), f.checked_add(2)].into_iter().flatten() {
-                    if i < n {
-                        if let Some(s) = take(&mut remaining, i) {
-                            double.push(s);
-                        }
+                    if let Some(s) = take(&mut remaining, i) {
+                        double.set(s);
                     }
                 }
                 if !double.is_empty() {
                     groups.push(double);
                 }
                 if let Some(prev) = f.checked_sub(1).and_then(|i| take(&mut remaining, i)) {
-                    groups.push(vec![prev]);
+                    groups.push(one(prev));
                 }
             }
             PipelineStrategy::AdaptiveHalf => {
                 // The companion rides in the *initial* message.
-                let mut first = vec![faulted];
+                let mut first = one(faulted);
                 let companion = if offset_in_subpage >= 0.5 {
-                    f.checked_add(1).filter(|&i| i < n)
+                    f.checked_add(1)
                 } else {
                     f.checked_sub(1)
                 };
                 if let Some(s) = companion.and_then(|i| take(&mut remaining, i)) {
-                    first.push(s);
+                    first.set(s);
                 }
                 groups.push(first);
             }
         }
 
         if !remaining.is_empty() {
-            groups.push(remaining.into_iter().map(SubpageIndex::new).collect());
+            groups.push(remaining);
         }
         MessagePlan::new(groups)
     }
@@ -199,40 +178,122 @@ impl PipelineStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FetchPolicy, IndigoEngine, LeapEngine, PlannedFault, PolicyEngine, PolicyEvent};
     use gms_mem::{PageSize, SubpageSize};
+    use gms_obs::PolicyChoice;
+    use gms_units::SimTime;
 
     fn geom() -> Geometry {
         Geometry::new(PageSize::P8K, SubpageSize::S1K) // 8 subpages
     }
 
-    fn flat(plan: &MessagePlan) -> Vec<u8> {
-        let mut all: Vec<u8> = plan
-            .groups()
+    fn mask(subs: &[u8]) -> SubpageMask {
+        let mut m = SubpageMask::empty(8);
+        for &s in subs {
+            m.set(SubpageIndex::new(s));
+        }
+        m
+    }
+
+    /// The lowest subpage of each message, in send order.
+    fn firsts(plan: &MessagePlan) -> Vec<u8> {
+        plan.groups()
             .iter()
-            .flat_map(|g| g.iter().map(|s| s.get()))
-            .collect();
-        all.sort_unstable();
-        all
+            .map(|g| g.iter().next().expect("non-empty group").get())
+            .collect()
+    }
+
+    /// Checks one plan for a fault on `faulted`: its messages are
+    /// pairwise disjoint, the first carries the faulted subpage, and the
+    /// message sizes add up to the subpages moved. Returns the union.
+    fn moved(plan: &MessagePlan, geom: Geometry, faulted: SubpageIndex) -> SubpageMask {
+        let mut union = SubpageMask::empty(geom.subpages_per_page());
+        for g in plan.groups() {
+            assert_eq!(union.bits() & g.bits(), 0, "messages overlap: {plan:?}");
+            union.union_with(*g);
+        }
+        assert!(plan.groups()[0].contains(faulted), "{plan:?}");
+        let bytes: Bytes = plan.message_sizes(geom).into_iter().sum();
+        assert_eq!(
+            bytes,
+            geom.subpage_size().bytes() * u64::from(union.count())
+        );
+        union
+    }
+
+    /// A leap engine whose region history strides by 2 (subpages 0, 2,
+    /// 4, 6 of page 0) when it plans a fault on page 1.
+    fn leap_with_stride(geom: Geometry, faulted: SubpageIndex) -> PlannedFault {
+        let subpage = geom.subpage_size();
+        let mut engine = LeapEngine::new(FetchPolicy::leap(subpage));
+        for s in [0u8, 2, 4, 6] {
+            engine.observe(PolicyEvent::Touch {
+                page: 0,
+                subpage: SubpageIndex::new(s),
+            });
+        }
+        engine.observe(PolicyEvent::Fault {
+            page: 1,
+            subpage: faulted,
+            at: SimTime::ZERO,
+        });
+        engine.plan_fault(geom, faulted, 0.0)
+    }
+
+    /// An indigo engine planning page 7's fault, after an earlier fault
+    /// on it `gap_ns` before (hot within 10 ms).
+    fn indigo_after(geom: Geometry, faulted: SubpageIndex, gap_ns: u64) -> PlannedFault {
+        let mut engine = IndigoEngine::new(FetchPolicy::indigo(geom.subpage_size()));
+        for at in [0, gap_ns] {
+            engine.observe(PolicyEvent::Fault {
+                page: 7,
+                subpage: faulted,
+                at: SimTime::from_nanos(at),
+            });
+        }
+        engine.plan_fault(geom, faulted, 0.0)
     }
 
     #[test]
     fn every_strategy_covers_the_page_exactly_once() {
-        for strategy in [
-            PipelineStrategy::NeighborsFirst,
-            PipelineStrategy::Ascending,
-            PipelineStrategy::DoubledFollowOn,
-            PipelineStrategy::AdaptiveHalf,
-        ] {
-            for f in 0..8u8 {
-                for offset in [0.1, 0.9] {
-                    let plan = strategy.plan(geom(), SubpageIndex::new(f), offset);
-                    assert_eq!(
-                        flat(&plan),
-                        (0..8).collect::<Vec<u8>>(),
-                        "{strategy:?} fault {f} offset {offset}"
-                    );
-                    assert_eq!(plan.total_subpages(), 8);
+        // Widths 1, 8, 32 and 64 on an 8 KB page; bit 63 rides through
+        // every planner at width 64.
+        for sub_bytes in [8192u64, 1024, 256, 128] {
+            let geom = Geometry::new(PageSize::P8K, SubpageSize::new(Bytes::new(sub_bytes)));
+            let n = geom.subpages_per_page();
+            let full = SubpageMask::full(n);
+            for f in [0u8, 31, 32, 63].into_iter().filter(|&f| u32::from(f) < n) {
+                let faulted = SubpageIndex::new(f);
+                let case = format!("{n} subpages, fault {f}");
+                for strategy in [
+                    PipelineStrategy::NeighborsFirst,
+                    PipelineStrategy::Ascending,
+                    PipelineStrategy::DoubledFollowOn,
+                    PipelineStrategy::AdaptiveHalf,
+                ] {
+                    for offset in [0.1, 0.9] {
+                        let plan = strategy.plan(geom, faulted, offset);
+                        assert_eq!(moved(&plan, geom, faulted), full, "{strategy:?} {case}");
+                    }
                 }
+                let eager = FetchPolicy::eager(geom.subpage_size()).plan_fault(geom, faulted, 0.5);
+                assert_eq!(moved(&eager, geom, faulted), full, "eager {case}");
+                assert_eq!(eager.groups().len(), if n == 1 { 1 } else { 2 });
+
+                let leap = leap_with_stride(geom, faulted);
+                assert_eq!(moved(&leap.plan, geom, faulted), full, "leap {case}");
+                if n > 1 {
+                    assert_eq!(leap.decision, Some((PolicyChoice::Stride, 2)), "{case}");
+                }
+
+                let hot = indigo_after(geom, faulted, 1_000_000);
+                assert_eq!(moved(&hot.plan, geom, faulted), full, "indigo hot {case}");
+                let cold = indigo_after(geom, faulted, 50_000_000);
+                assert_eq!(
+                    moved(&cold.plan, geom, faulted),
+                    SubpageMask::single(n, faulted),
+                    "indigo cold {case}"
+                );
             }
         }
     }
@@ -240,22 +301,19 @@ mod tests {
     #[test]
     fn neighbors_first_orders_plus_one_then_minus_one() {
         let plan = PipelineStrategy::NeighborsFirst.plan(geom(), SubpageIndex::new(3), 0.0);
-        let firsts: Vec<u8> = plan.groups().iter().map(|g| g[0].get()).collect();
-        assert_eq!(firsts[0], 3);
-        assert_eq!(firsts[1], 4);
-        assert_eq!(firsts[2], 2);
+        assert_eq!(firsts(&plan)[..3], [3, 4, 2]);
         // Remainder in one message.
         assert_eq!(plan.groups().len(), 4);
-        assert_eq!(plan.groups()[3].len(), 5);
+        assert_eq!(plan.groups()[3].count(), 5);
     }
 
     #[test]
     fn neighbors_first_at_page_edges() {
         let at0 = PipelineStrategy::NeighborsFirst.plan(geom(), SubpageIndex::new(0), 0.0);
-        assert_eq!(at0.groups()[1], vec![SubpageIndex::new(1)]);
+        assert_eq!(at0.groups()[1], mask(&[1]));
         assert_eq!(at0.groups().len(), 3); // no -1 neighbour
         let at7 = PipelineStrategy::NeighborsFirst.plan(geom(), SubpageIndex::new(7), 0.0);
-        assert_eq!(at7.groups()[1], vec![SubpageIndex::new(6)]);
+        assert_eq!(at7.groups()[1], mask(&[6]));
         assert_eq!(at7.groups().len(), 3); // no +1 neighbour
     }
 
@@ -263,19 +321,15 @@ mod tests {
     fn ascending_sends_every_subpage_individually() {
         let plan = PipelineStrategy::Ascending.plan(geom(), SubpageIndex::new(2), 0.0);
         assert_eq!(plan.groups().len(), 8);
-        let order: Vec<u8> = plan.groups().iter().map(|g| g[0].get()).collect();
-        assert_eq!(order, vec![2, 3, 4, 5, 6, 7, 1, 0]);
+        assert_eq!(firsts(&plan), vec![2, 3, 4, 5, 6, 7, 1, 0]);
     }
 
     #[test]
     fn doubled_followon_pairs_the_next_two() {
         let plan = PipelineStrategy::DoubledFollowOn.plan(geom(), SubpageIndex::new(3), 0.0);
-        assert_eq!(plan.groups()[0], vec![SubpageIndex::new(3)]);
-        assert_eq!(
-            plan.groups()[1],
-            vec![SubpageIndex::new(4), SubpageIndex::new(5)]
-        );
-        assert_eq!(plan.groups()[2], vec![SubpageIndex::new(2)]);
+        assert_eq!(plan.groups()[0], mask(&[3]));
+        assert_eq!(plan.groups()[1], mask(&[4, 5]));
+        assert_eq!(plan.groups()[2], mask(&[2]));
         let sizes = plan.message_sizes(geom());
         assert_eq!(sizes[1], Bytes::kib(2)); // double-sized message
     }
@@ -285,13 +339,13 @@ mod tests {
         let high = PipelineStrategy::AdaptiveHalf.plan(geom(), SubpageIndex::new(3), 0.8);
         assert_eq!(
             high.groups()[0],
-            vec![SubpageIndex::new(3), SubpageIndex::new(4)],
+            mask(&[3, 4]),
             "fault near the end pulls the following subpage"
         );
         let low = PipelineStrategy::AdaptiveHalf.plan(geom(), SubpageIndex::new(3), 0.2);
         assert_eq!(
             low.groups()[0],
-            vec![SubpageIndex::new(3), SubpageIndex::new(2)],
+            mask(&[2, 3]),
             "fault near the start pulls the preceding subpage"
         );
     }
@@ -306,14 +360,7 @@ mod tests {
 
     #[test]
     fn message_sizes_scale_with_group_len() {
-        let plan = MessagePlan::new(vec![
-            vec![SubpageIndex::new(0)],
-            vec![
-                SubpageIndex::new(1),
-                SubpageIndex::new(2),
-                SubpageIndex::new(3),
-            ],
-        ]);
+        let plan = MessagePlan::new(vec![mask(&[0]), mask(&[1, 2, 3])]);
         let g = Geometry::new(PageSize::P8K, SubpageSize::S2K);
         assert_eq!(plan.message_sizes(g), vec![Bytes::kib(2), Bytes::kib(6)]);
     }
@@ -321,7 +368,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one subpage")]
     fn empty_group_panics() {
-        let _ = MessagePlan::new(vec![vec![]]);
+        let _ = MessagePlan::new(vec![SubpageMask::empty(8)]);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 
 use core::fmt;
 
-use gms_mem::{Geometry, PageSize, SubpageIndex, SubpageSize};
+use gms_mem::{Geometry, PageSize, SubpageIndex, SubpageMask, SubpageSize};
 use gms_net::{AccessPattern, RecvOverhead};
-use gms_units::Bytes;
 
 use crate::pipeline::{MessagePlan, PipelineStrategy};
 
@@ -161,17 +160,16 @@ impl FetchPolicy {
         faulted: SubpageIndex,
         offset_in_subpage: f64,
     ) -> MessagePlan {
-        let n = geom.subpages_per_page() as u8;
+        let demanded = SubpageMask::single(geom.subpages_per_page(), faulted);
         match *self {
             FetchPolicy::Disk { .. }
             | FetchPolicy::RemoteFullPage
-            | FetchPolicy::SmallPages { .. } => MessagePlan::new(vec![vec![faulted]]),
+            | FetchPolicy::SmallPages { .. }
+            | FetchPolicy::LazySubpage { .. }
+            | FetchPolicy::Indigo { .. } => MessagePlan::new(vec![demanded]),
             FetchPolicy::EagerSubpage { .. } => {
-                let mut groups = vec![vec![faulted]];
-                let rest: Vec<SubpageIndex> = (0..n)
-                    .filter(|&i| i != faulted.get())
-                    .map(SubpageIndex::new)
-                    .collect();
+                let rest = SubpageMask::full(demanded.width()).difference(demanded);
+                let mut groups = vec![demanded];
                 if !rest.is_empty() {
                     groups.push(rest);
                 }
@@ -179,9 +177,6 @@ impl FetchPolicy {
             }
             FetchPolicy::PipelinedSubpage { strategy, .. } => {
                 strategy.plan(geom, faulted, offset_in_subpage)
-            }
-            FetchPolicy::LazySubpage { .. } | FetchPolicy::Indigo { .. } => {
-                MessagePlan::new(vec![vec![faulted]])
             }
             // History-free default for the adaptive stride policy; a
             // run's `LeapEngine` refines this from the observed history.
@@ -202,13 +197,6 @@ impl FetchPolicy {
             FetchPolicy::Leap { .. } | FetchPolicy::Indigo { .. } => RecvOverhead::Zero,
             _ => RecvOverhead::Measured,
         }
-    }
-
-    /// Whether missing subpages are fetched on demand (lazy) rather than
-    /// arriving via follow-on messages.
-    #[must_use]
-    pub fn is_lazy(&self) -> bool {
-        matches!(self, FetchPolicy::LazySubpage { .. })
     }
 
     /// Whether this policy's plans may leave subpages with no follow-on
@@ -286,18 +274,6 @@ impl FetchPolicy {
         }
     }
 
-    /// Transfer bytes a fault moves in total under this policy, for a
-    /// page of `geom` (demand-filling policies move one subpage per
-    /// fault).
-    #[must_use]
-    pub fn bytes_per_fault(&self, geom: Geometry) -> Bytes {
-        if self.demand_fills() {
-            geom.subpage_size().bytes()
-        } else {
-            geom.page_size().bytes()
-        }
-    }
-
     /// Builds the per-run stateful engine realizing this policy: the
     /// static policies get the history-blind delegator, the adaptive
     /// ones their observing engines. One engine per node per run — see
@@ -321,6 +297,7 @@ impl fmt::Display for FetchPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gms_units::Bytes;
 
     #[test]
     fn geometry_follows_policy() {
@@ -350,8 +327,11 @@ mod tests {
         let geom = policy.geometry(PageSize::P8K);
         let plan = policy.plan_fault(geom, SubpageIndex::new(5), 0.0);
         assert_eq!(plan.groups().len(), 2);
-        assert_eq!(plan.groups()[0], vec![SubpageIndex::new(5)]);
-        assert_eq!(plan.groups()[1].len(), 7);
+        assert_eq!(
+            plan.groups()[0],
+            SubpageMask::single(8, SubpageIndex::new(5))
+        );
+        assert_eq!(plan.groups()[1].count(), 7);
         assert_eq!(plan.message_sizes(geom), vec![Bytes::kib(1), Bytes::kib(7)]);
     }
 
@@ -369,8 +349,7 @@ mod tests {
         let geom = policy.geometry(PageSize::P8K);
         let plan = policy.plan_fault(geom, SubpageIndex::new(1), 0.0);
         assert_eq!(plan.message_sizes(geom), vec![Bytes::kib(2)]);
-        assert!(policy.is_lazy());
-        assert_eq!(policy.bytes_per_fault(geom), Bytes::kib(2));
+        assert!(policy.demand_fills());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use gms_mem::{Geometry, SubpageIndex};
+use gms_mem::{Geometry, SubpageIndex, SubpageMask};
 use gms_obs::PolicyChoice;
 use gms_units::{Duration, FastMap, SimTime};
 
@@ -255,19 +255,20 @@ impl PolicyEngine for LeapEngine {
         };
         // Follow the predicted stride while it stays inside the page,
         // one subpage per message; everything unpredicted ships as one
-        // trailing message, ascending.
-        let mut groups = vec![vec![faulted]];
-        let mut picked = 1u64 << f;
+        // trailing message.
+        let width = u32::from(n);
+        let mut picked = SubpageMask::single(width, faulted);
+        let mut groups = vec![picked];
         let mut pos = i64::from(f) + d;
-        while (0..i64::from(n)).contains(&pos) && picked & (1 << pos) == 0 {
-            groups.push(vec![SubpageIndex::new(pos as u8)]);
-            picked |= 1 << pos;
+        while (0..i64::from(n)).contains(&pos) {
+            let next = SubpageIndex::new(pos as u8);
+            if !picked.set(next) {
+                break;
+            }
+            groups.push(SubpageMask::single(width, next));
             pos += d;
         }
-        let rest: Vec<SubpageIndex> = (0..n)
-            .filter(|&i| picked & (1 << i) == 0)
-            .map(SubpageIndex::new)
-            .collect();
+        let rest = SubpageMask::full(width).difference(picked);
         if !rest.is_empty() {
             groups.push(rest);
         }
@@ -365,25 +366,18 @@ impl PolicyEngine for IndigoEngine {
         faulted: SubpageIndex,
         _offset_in_subpage: f64,
     ) -> PlannedFault {
-        let n = geom.subpages_per_page() as u8;
+        let n = geom.subpages_per_page();
         if n > 1 && self.is_hot() {
             // Hot: migrate the page whole — one message, no follow-ons,
-            // no demand refills. Demanded subpage first (it heads the
-            // blocking group), the rest ascending.
-            let mut group = vec![faulted];
-            group.extend(
-                (0..n)
-                    .filter(|&i| i != faulted.get())
-                    .map(SubpageIndex::new),
-            );
+            // no demand refills.
             PlannedFault {
-                plan: MessagePlan::new(vec![group]),
+                plan: MessagePlan::new(vec![SubpageMask::full(n)]),
                 decision: Some((PolicyChoice::Migrate, 0)),
             }
         } else {
             // Cold: demanded subpage only; later touches demand-fill.
             PlannedFault {
-                plan: MessagePlan::new(vec![vec![faulted]]),
+                plan: MessagePlan::new(vec![SubpageMask::single(n, faulted)]),
                 decision: Some((PolicyChoice::Demand, 0)),
             }
         }
@@ -399,14 +393,18 @@ mod tests {
         Geometry::new(PageSize::P8K, SubpageSize::S1K) // 8 subpages
     }
 
+    /// The union of a plan's messages, which must be pairwise disjoint.
     fn flat(plan: &MessagePlan) -> Vec<u8> {
-        let mut all: Vec<u8> = plan
-            .groups()
-            .iter()
-            .flat_map(|g| g.iter().map(|s| s.get()))
-            .collect();
-        all.sort_unstable();
-        all
+        let mut all = SubpageMask::empty(8);
+        for g in plan.groups() {
+            assert_eq!(all.bits() & g.bits(), 0, "messages overlap");
+            all.union_with(*g);
+        }
+        all.iter().map(|s| s.get()).collect()
+    }
+
+    fn one(sub: u8) -> SubpageMask {
+        SubpageMask::single(8, SubpageIndex::new(sub))
     }
 
     #[test]
@@ -459,8 +457,7 @@ mod tests {
         assert_eq!(choice, gms_obs::PolicyChoice::Stride);
         assert_eq!(delta, 2);
         // Predicted follow-ons ride first, one per message: 2, 4, 6.
-        let firsts: Vec<u8> = planned.plan.groups().iter().map(|g| g[0].get()).collect();
-        assert_eq!(firsts[..4], [0, 2, 4, 6]);
+        assert_eq!(planned.plan.groups()[..4], [one(0), one(2), one(4), one(6)]);
         assert_eq!(flat(&planned.plan), (0..8).collect::<Vec<u8>>());
     }
 
@@ -517,7 +514,7 @@ mod tests {
         for (i, s) in [0u8, 2, 4, 6, 0, 2, 4, 6, 1, 5, 3].iter().enumerate() {
             let planned = fault(&mut engine, i as u64, *s, i as u64 * 10);
             assert_eq!(flat(&planned.plan), (0..8).collect::<Vec<u8>>());
-            assert!(planned.plan.groups()[0] == vec![SubpageIndex::new(*s)]);
+            assert_eq!(planned.plan.groups()[0], one(*s));
         }
     }
 
@@ -526,7 +523,7 @@ mod tests {
         let mut engine = IndigoEngine::new(FetchPolicy::indigo(SubpageSize::S1K));
         let planned = fault(&mut engine, 0, 5, 0);
         assert_eq!(planned.decision, Some((gms_obs::PolicyChoice::Demand, 0)));
-        assert_eq!(planned.plan.groups(), &[vec![SubpageIndex::new(5)]]);
+        assert_eq!(planned.plan.groups(), &[one(5)]);
     }
 
     #[test]
@@ -537,7 +534,7 @@ mod tests {
         let planned = fault(&mut engine, 7, 2, 1_000_000);
         assert_eq!(planned.decision, Some((gms_obs::PolicyChoice::Migrate, 0)));
         assert_eq!(planned.plan.groups().len(), 1, "one migration message");
-        assert_eq!(planned.plan.groups()[0][0], SubpageIndex::new(2));
+        assert!(planned.plan.groups()[0].contains(SubpageIndex::new(2)));
         assert_eq!(flat(&planned.plan), (0..8).collect::<Vec<u8>>());
         // Refault 50 ms later: cold again.
         let planned = fault(&mut engine, 7, 1, 51_000_000);

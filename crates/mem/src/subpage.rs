@@ -56,10 +56,28 @@ impl SubpageMask {
         mask
     }
 
+    /// A mask over `n` subpages with only `i` valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not in `1..=64` or `i` is outside the mask.
+    #[must_use]
+    pub fn single(n: u32, i: SubpageIndex) -> Self {
+        let mut mask = SubpageMask::empty(n);
+        mask.set(i);
+        mask
+    }
+
     /// Number of subpages tracked by this mask.
     #[must_use]
     pub const fn width(self) -> u32 {
         self.n
+    }
+
+    /// The raw word: bit `i` is set when subpage `i` is valid.
+    #[must_use]
+    pub const fn bits(self) -> u64 {
+        self.bits
     }
 
     /// Marks subpage `i` valid. Returns `true` if it was newly set.
@@ -142,6 +160,21 @@ impl SubpageMask {
         self.bits |= other.bits;
     }
 
+    /// The subpages valid here but not in `other`, a mask of the same
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    #[must_use]
+    pub fn difference(self, other: SubpageMask) -> SubpageMask {
+        assert_eq!(self.n, other.n, "mask width mismatch");
+        SubpageMask {
+            bits: self.bits & !other.bits,
+            n: self.n,
+        }
+    }
+
     fn check(self, i: SubpageIndex) {
         assert!(
             (i.get() as u32) < self.n,
@@ -222,6 +255,16 @@ mod tests {
         a.union_with(b);
         assert_eq!(a.count(), 2);
         assert!(a.contains(SubpageIndex::new(7)));
+    }
+
+    #[test]
+    fn single_bits_and_difference() {
+        let top = SubpageMask::single(64, SubpageIndex::new(63));
+        assert_eq!(top.bits(), 1 << 63);
+        let rest = SubpageMask::full(64).difference(top);
+        assert_eq!(rest.count(), 63);
+        assert!(!rest.contains(SubpageIndex::new(63)));
+        assert!(rest.difference(rest).is_empty());
     }
 
     #[test]
