@@ -70,14 +70,6 @@ pub struct PalStats {
     pub cycles: Cycles,
 }
 
-impl PalStats {
-    /// Total emulated operations.
-    #[must_use]
-    pub fn total_ops(&self) -> u64 {
-        self.fast_loads + self.slow_loads + self.fast_stores + self.slow_stores
-    }
-}
-
 /// The software subpage-protection emulator: charges Table 1 costs for
 /// accesses to incomplete pages.
 ///
@@ -224,7 +216,6 @@ mod tests {
         pal.emulated_access(PageId::new(1), false); // 95
         pal.emulated_access(PageId::new(1), true); // 64
         assert_eq!(pal.stats().cycles, Cycles::new(159));
-        assert_eq!(pal.stats().total_ops(), 2);
         let ns = pal.total_time().as_nanos();
         assert!((595..600).contains(&ns), "{ns}");
     }

@@ -19,19 +19,6 @@ pub struct TlbStats {
     pub misses: u64,
 }
 
-impl TlbStats {
-    /// Miss rate in `[0, 1]`; zero before any accesses.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// A set-associative translation lookaside buffer with LRU within each
 /// set.
 ///
@@ -128,12 +115,6 @@ impl Tlb {
     pub fn stats(&self) -> TlbStats {
         self.stats
     }
-
-    /// Total cycles spent refilling so far.
-    #[must_use]
-    pub fn refill_cycles(&self) -> Cycles {
-        self.refill * self.stats.misses
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +127,6 @@ mod tests {
         assert!(!tlb.access(PageId::new(5)));
         assert!(tlb.access(PageId::new(5)));
         assert_eq!(tlb.stats(), TlbStats { hits: 1, misses: 1 });
-        assert!((tlb.stats().miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -202,14 +182,6 @@ mod tests {
         let tlb = Tlb::alpha_dtlb();
         assert_eq!(tlb.coverage(Bytes::kib(8)), Bytes::kib(256));
         assert_eq!(tlb.coverage(Bytes::kib(1)), Bytes::kib(32));
-    }
-
-    #[test]
-    fn refill_cycles_accumulate() {
-        let mut tlb = Tlb::new(1, 1, Cycles::new(40));
-        tlb.access(PageId::new(1));
-        tlb.access(PageId::new(2));
-        assert_eq!(tlb.refill_cycles(), Cycles::new(80));
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl DiskModel {
     pub fn pattern(&self) -> AccessPattern {
         self.pattern
     }
-
-    /// Positioning (seek + rotation) component of every access.
-    #[must_use]
-    pub fn position_time(&self) -> Duration {
-        self.position
-    }
 }
 
 impl LinkModel for DiskModel {

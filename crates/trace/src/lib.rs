@@ -39,11 +39,8 @@ pub mod apps;
 pub mod io;
 pub mod synth;
 
-pub use materialize::{MaterializedTrace, SharedTraceCursor, TraceCursor};
+pub use materialize::{MaterializedTrace, TraceCursor};
 pub use record::{Access, AccessKind};
 pub use run::{Run, RunIter};
 pub use stats::TraceStats;
-pub use stream::{
-    chain, interleave, per_ref, take_refs, Chain, Interleave, PerRef, TakeRefs, TraceSource,
-    VecSource,
-};
+pub use stream::{per_ref, PerRef, TraceSource, VecSource};

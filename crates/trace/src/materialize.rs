@@ -9,14 +9,10 @@
 //!
 //! [`MaterializedTrace`] captures a [`TraceSource`]'s full run sequence
 //! into a compact `Vec<Run>` (the RLE representation stays compact:
-//! runs, not references). Cheap cursors then re-iterate it any number
-//! of times — [`MaterializedTrace::cursor`] borrows for same-thread or
-//! scoped-thread replay, and [`MaterializedTrace::shared_cursor`]
-//! carries an [`Arc`] for detached threads. Replaying a cursor is
-//! bit-identical to draining the original source, so simulation results
-//! are unchanged; they only arrive sooner.
-
-use std::sync::Arc;
+//! runs, not references). Cheap borrowing cursors
+//! ([`MaterializedTrace::cursor`]) then re-iterate it any number of
+//! times. Replaying a cursor is bit-identical to draining the original
+//! source, so simulation results are unchanged; they only arrive sooner.
 
 use crate::{Run, TraceSource};
 
@@ -87,17 +83,6 @@ impl MaterializedTrace {
             refs_left: self.total_refs,
         }
     }
-
-    /// An owning cursor that shares the trace via [`Arc`], for replay on
-    /// threads that outlive the caller's stack frame.
-    #[must_use]
-    pub fn shared_cursor(self: &Arc<Self>) -> SharedTraceCursor {
-        SharedTraceCursor {
-            trace: Arc::clone(self),
-            pos: 0,
-            refs_left: self.total_refs,
-        }
-    }
 }
 
 /// A replay cursor borrowing a [`MaterializedTrace`].
@@ -109,27 +94,6 @@ pub struct TraceCursor<'a> {
 }
 
 impl TraceSource for TraceCursor<'_> {
-    fn next_run(&mut self) -> Option<Run> {
-        let run = self.trace.runs.get(self.pos).copied()?;
-        self.pos += 1;
-        self.refs_left -= run.count();
-        Some(run)
-    }
-
-    fn refs_hint(&self) -> (u64, Option<u64>) {
-        (self.refs_left, Some(self.refs_left))
-    }
-}
-
-/// A replay cursor holding the trace alive via [`Arc`].
-#[derive(Debug, Clone)]
-pub struct SharedTraceCursor {
-    trace: Arc<MaterializedTrace>,
-    pos: usize,
-    refs_left: u64,
-}
-
-impl TraceSource for SharedTraceCursor {
     fn next_run(&mut self) -> Option<Run> {
         let run = self.trace.runs.get(self.pos).copied()?;
         self.pos += 1;
@@ -199,17 +163,6 @@ mod tests {
         );
         while c.next_run().is_some() {}
         assert_eq!(c.refs_hint(), (0, Some(0)));
-    }
-
-    #[test]
-    fn shared_cursor_matches_borrowing_cursor() {
-        let trace = Arc::new(MaterializedTrace::from_runs(toy_runs()));
-        let mut shared = trace.shared_cursor();
-        let mut borrowed = trace.cursor();
-        while let Some(run) = borrowed.next_run() {
-            assert_eq!(Some(run), shared.next_run());
-        }
-        assert_eq!(shared.next_run(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::{Access, Run};
 ///
 /// Implementors produce the reference stream lazily; a 245-million-reference
 /// Render trace is never materialized. The simulator drains a source run by
-/// run, and adapters ([`Chain`], [`TakeRefs`], [`PerRef`]) compose sources.
+/// run; [`PerRef`] flattens a source into single references.
 pub trait TraceSource {
     /// The next run, or `None` when the trace is exhausted.
     fn next_run(&mut self) -> Option<Run>;
@@ -70,124 +70,6 @@ impl FromIterator<Run> for VecSource {
     }
 }
 
-/// Plays one source to exhaustion, then the next. Created by [`chain`].
-#[derive(Debug)]
-pub struct Chain<A, B> {
-    first: Option<A>,
-    second: B,
-}
-
-/// Chains two sources end to end.
-pub fn chain<A: TraceSource, B: TraceSource>(first: A, second: B) -> Chain<A, B> {
-    Chain {
-        first: Some(first),
-        second,
-    }
-}
-
-impl<A: TraceSource, B: TraceSource> TraceSource for Chain<A, B> {
-    fn next_run(&mut self) -> Option<Run> {
-        if let Some(f) = self.first.as_mut() {
-            if let Some(run) = f.next_run() {
-                return Some(run);
-            }
-            self.first = None;
-        }
-        self.second.next_run()
-    }
-
-    fn refs_hint(&self) -> (u64, Option<u64>) {
-        let (alo, ahi) = self
-            .first
-            .as_ref()
-            .map_or((0, Some(0)), TraceSource::refs_hint);
-        let (blo, bhi) = self.second.refs_hint();
-        (alo + blo, ahi.zip(bhi).map(|(a, b)| a + b))
-    }
-}
-
-/// Truncates a source to at most `limit` references, splitting the final
-/// run if necessary. Created by [`take_refs`].
-#[derive(Debug)]
-pub struct TakeRefs<S> {
-    inner: S,
-    left: u64,
-}
-
-/// Limits `source` to `limit` references.
-pub fn take_refs<S: TraceSource>(source: S, limit: u64) -> TakeRefs<S> {
-    TakeRefs {
-        inner: source,
-        left: limit,
-    }
-}
-
-impl<S: TraceSource> TraceSource for TakeRefs<S> {
-    fn next_run(&mut self) -> Option<Run> {
-        if self.left == 0 {
-            return None;
-        }
-        let run = self.inner.next_run()?;
-        if run.count() <= self.left {
-            self.left -= run.count();
-            Some(run)
-        } else {
-            let keep = self.left;
-            self.left = 0;
-            // keep > 0 and keep < count, so the split point is interior.
-            let (head, _tail) = run.split_at(keep);
-            Some(head)
-        }
-    }
-
-    fn refs_hint(&self) -> (u64, Option<u64>) {
-        let (lo, hi) = self.inner.refs_hint();
-        (
-            lo.min(self.left),
-            Some(hi.unwrap_or(self.left).min(self.left)),
-        )
-    }
-}
-
-/// Alternates runs from two sources round-robin until both are
-/// exhausted. Created by [`interleave`].
-///
-/// Models concurrent activities sharing one processor — e.g. a compute
-/// kernel interleaved with a logging thread — at run granularity.
-#[derive(Debug)]
-pub struct Interleave<A, B> {
-    first: A,
-    second: B,
-    take_first: bool,
-}
-
-/// Interleaves two sources run by run, starting with `first`.
-pub fn interleave<A: TraceSource, B: TraceSource>(first: A, second: B) -> Interleave<A, B> {
-    Interleave {
-        first,
-        second,
-        take_first: true,
-    }
-}
-
-impl<A: TraceSource, B: TraceSource> TraceSource for Interleave<A, B> {
-    fn next_run(&mut self) -> Option<Run> {
-        if self.take_first {
-            self.take_first = false;
-            self.first.next_run().or_else(|| self.second.next_run())
-        } else {
-            self.take_first = true;
-            self.second.next_run().or_else(|| self.first.next_run())
-        }
-    }
-
-    fn refs_hint(&self) -> (u64, Option<u64>) {
-        let (alo, ahi) = self.first.refs_hint();
-        let (blo, bhi) = self.second.refs_hint();
-        (alo + blo, ahi.zip(bhi).map(|(a, b)| a + b))
-    }
-}
-
 /// Flattens a source into individual [`Access`]es. Created by [`per_ref`].
 #[derive(Debug)]
 pub struct PerRef<S> {
@@ -238,59 +120,6 @@ mod tests {
         assert_eq!(s.refs_hint(), (3, Some(3)));
         assert_eq!(s.next_run(), Some(run(100, 3)));
         assert_eq!(s.next_run(), None);
-    }
-
-    #[test]
-    fn chain_plays_both() {
-        let a = VecSource::new(vec![run(0, 1)]);
-        let b = VecSource::new(vec![run(64, 2)]);
-        let mut c = chain(a, b);
-        assert_eq!(c.refs_hint(), (3, Some(3)));
-        assert_eq!(c.next_run(), Some(run(0, 1)));
-        assert_eq!(c.next_run(), Some(run(64, 2)));
-        assert_eq!(c.next_run(), None);
-    }
-
-    #[test]
-    fn take_refs_truncates_mid_run() {
-        let s = VecSource::new(vec![run(0, 10)]);
-        let mut t = take_refs(s, 4);
-        let got = t.next_run().expect("one truncated run");
-        assert_eq!(got.count(), 4);
-        assert_eq!(t.next_run(), None);
-    }
-
-    #[test]
-    fn take_refs_exact_boundary_keeps_whole_run() {
-        let s = VecSource::new(vec![run(0, 4), run(100, 1)]);
-        let mut t = take_refs(s, 4);
-        assert_eq!(t.next_run(), Some(run(0, 4)));
-        assert_eq!(t.next_run(), None);
-    }
-
-    #[test]
-    fn take_zero_is_empty() {
-        let mut t = take_refs(VecSource::new(vec![run(0, 3)]), 0);
-        assert_eq!(t.next_run(), None);
-    }
-
-    #[test]
-    fn interleave_alternates_and_drains_both() {
-        let a = VecSource::new(vec![run(0, 1), run(8, 1), run(16, 1)]);
-        let b = VecSource::new(vec![run(100, 1)]);
-        let mut i = interleave(a, b);
-        assert_eq!(i.refs_hint(), (4, Some(4)));
-        let starts: Vec<u64> = std::iter::from_fn(|| i.next_run())
-            .map(|r| r.start().get())
-            .collect();
-        // a, b, then a finishes alone.
-        assert_eq!(starts, vec![0, 100, 8, 16]);
-    }
-
-    #[test]
-    fn interleave_of_empties_is_empty() {
-        let mut i = interleave(VecSource::new(vec![]), VecSource::new(vec![]));
-        assert_eq!(i.next_run(), None);
     }
 
     #[test]

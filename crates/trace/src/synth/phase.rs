@@ -79,18 +79,6 @@ impl PhaseProgram {
         self.phases.push_back(phase);
         self
     }
-
-    /// The name of the phase currently being played, if any.
-    #[must_use]
-    pub fn current_phase(&self) -> Option<&'static str> {
-        self.current.as_ref().map(Phase::name)
-    }
-
-    /// Number of phases not yet started.
-    #[must_use]
-    pub fn remaining_phases(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl TraceSource for PhaseProgram {
@@ -143,10 +131,8 @@ mod tests {
         ]);
         let r1 = prog.next_run().expect("phase 1 run");
         assert_eq!(r1.start(), a.start());
-        assert_eq!(prog.current_phase(), Some("first"));
         let r2 = prog.next_run().expect("phase 2 run");
         assert_eq!(r2.start(), b.start());
-        assert_eq!(prog.current_phase(), Some("second"));
         assert!(prog.next_run().is_none());
     }
 
@@ -166,7 +152,6 @@ mod tests {
         let mut prog = PhaseProgram::default();
         assert!(prog.next_run().is_none());
         assert_eq!(prog.refs_hint(), (0, Some(0)));
-        assert_eq!(prog.remaining_phases(), 0);
     }
 
     #[test]
