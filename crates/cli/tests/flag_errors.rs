@@ -136,3 +136,24 @@ fn subpages_too_small_for_an_8k_page_are_refused() {
         }
     }
 }
+
+#[test]
+fn retry_schedules_that_overflow_the_clock_are_refused() {
+    // Near-total loss makes every attempt time out, so each fault waits
+    // out the whole schedule: with backoffs capped at 2^40 or 2^63
+    // quarter-timeouts a few faults overflow the nanosecond clock.
+    let run = "run --app gdb --scale 0.05 --policy sp_1024 --fault-plan loss=0.99,seed=1";
+    for cap in [40, 63] {
+        let line = format!("{run} --max-fetch-attempts 64 --backoff-cap {cap}");
+        match outcome(&line) {
+            Ok(_) => panic!("`{line}` must be rejected"),
+            Err(e) => assert!(
+                e.contains("getpage timeouts, above the 65536"),
+                "`{line}`: {e}"
+            ),
+        }
+    }
+    if let Err(e) = outcome(&format!("{run} --max-fetch-attempts 8 --backoff-cap 3")) {
+        panic!("the default schedule with more attempts must still be accepted: {e}");
+    }
+}
