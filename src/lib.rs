@@ -11,8 +11,8 @@
 //! * [`units`] — quantity newtypes ([`units::SimTime`], [`units::Bytes`], …).
 //! * [`trace`] — memory-reference traces and the synthetic application
 //!   models standing in for the paper's Atom traces.
-//! * [`net`] — network and disk latency models, plus the Figure-2
-//!   five-resource fault timeline.
+//! * [`net`] — network and disk latency models, and the cluster network
+//!   that schedules every transfer on Figure 2's five resources.
 //! * [`mem`] — pages, subpage valid-bit masks, TLB, replacement policies
 //!   and the Table-1 PALcode emulation cost model.
 //! * [`cluster`] — the GMS global-memory substrate (nodes, directory,
