@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 use gms_core::{
     cluster_summary_json, run_summary_json, tail_json, with_slo, AccessCost, ClusterReport,
-    ClusterSim, FaultKind, FaultPlan, FetchPolicy, MemoryConfig, PipelineStrategy, ReplacementKind,
+    ClusterSim, FaultPlan, FetchPolicy, MemoryConfig, PipelineStrategy, ReplacementKind,
     ReplicationConfig, RetryConfig, RunReport, SimConfig, SloCount, Sweep, SUMMARY_SCHEMA,
     TAIL_PERCENTILES, WAIT_PERCENTILES,
 };
@@ -1337,17 +1337,6 @@ fn profile_command(mut args: Args) -> Result<String, CliError> {
 /// `check-trace --exemplars` validates.
 pub const EXPLAIN_SCHEMA: &str = "gms-explain/v1";
 
-/// A fault-kind label matching [`FaultClass::label`], so the per-class
-/// attainment lines and the exemplar class tags read the same.
-fn kind_label(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::Remote => "remote",
-        FaultKind::Disk => "disk",
-        FaultKind::LazySubpage => "lazy",
-        FaultKind::Degraded => "degraded",
-    }
-}
-
 /// `gms-sim explain`: re-runs the workload under a bounded flight
 /// recorder, replays the retained worst-fault exemplar chains through
 /// the critical-path attribution walk, and reports each one's Table-2
@@ -1438,7 +1427,7 @@ fn explain_command(mut args: Args) -> Result<String, CliError> {
     let mut classes: Vec<(&'static str, u64, u64)> = Vec::new();
     for r in node_reports {
         for f in &r.fault_log {
-            let label = kind_label(f.kind);
+            let label = f.kind.label();
             let entry = match classes.iter_mut().find(|(l, _, _)| *l == label) {
                 Some(e) => e,
                 None => {

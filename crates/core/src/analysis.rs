@@ -90,15 +90,16 @@ pub fn burstiness(report: &RunReport, window_fraction: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{FaultKind, FaultRecord};
+    use crate::metrics::FaultRecord;
     use gms_mem::{PageId, SubpageIndex};
+    use gms_obs::FaultClass;
 
     fn fault(at_ref: u64, wait_us: u64) -> FaultRecord {
         FaultRecord {
             at_ref,
             page: PageId::new(at_ref),
             subpage: SubpageIndex::new(0),
-            kind: FaultKind::Remote,
+            kind: FaultClass::Remote,
             wait: Duration::from_micros(wait_us),
         }
     }

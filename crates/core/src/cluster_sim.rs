@@ -16,13 +16,16 @@
 //!
 //! # Determinism
 //!
-//! Each node alternates between a *local phase* (runs on fully-resident
-//! pages, touching only node-private state) and *shared sections* (the
-//! parked run that may fault, refill or evict through the shared
-//! network and GMS). [`run_cluster`] commits shared sections in exactly
-//! ascending `(park clock, node id)` order by always popping the minimal
-//! parked node from a heap. Because that order is a pure function of
-//! the inputs, the same inputs give the same report every time.
+//! Each node alternates between *shared sections* (the parked run that
+//! may fault, refill or evict through the shared network and GMS) and a
+//! *local phase* (runs on fully-resident pages, touching only
+//! node-private state). One driver call, `NodeDriver::run_to_park`,
+//! commits a node's shared section and runs its local phase up to the
+//! next park. [`run_cluster`] makes that call for the node with the
+//! minimal `(clock, node id)` key in a heap, so shared sections commit
+//! in exactly ascending `(park clock, node id)` order. Because that
+//! order is a pure function of the inputs, the same inputs give the
+//! same report every time.
 //!
 //! [`ClusterNetwork`]: gms_net::ClusterNetwork
 
@@ -140,20 +143,18 @@ pub(crate) fn run_cluster<R: Recorder>(
         })
         .collect();
 
-    // Advance every node to its park, then repeatedly commit the
-    // globally minimal `(park clock, id)` node's shared section and
-    // re-advance it. A node's fully-resident runs between two parks
-    // cost no heap operation.
-    let mut parked: BinaryHeap<Reverse<(SimTime, usize)>> =
-        BinaryHeap::with_capacity(drivers.len());
-    for (i, (driver, input)) in drivers.iter_mut().zip(inputs.iter_mut()).enumerate() {
-        if !driver.advance_local(&mut *input.source) {
-            parked.push(Reverse((driver.clock(), i)));
-        }
-    }
+    // Repeatedly advance the node with the globally minimal
+    // `(clock, id)` key: it commits its parked run, if any, then runs
+    // locally to its next park. Every node enters at clock zero, and a
+    // node's clock never falls, so keys pop in ascending order and
+    // shared sections commit in canonical `(park clock, id)` order. A
+    // node's fully-resident runs between two parks cost no heap
+    // operation.
+    let mut parked: BinaryHeap<Reverse<(SimTime, usize)>> = (0..drivers.len())
+        .map(|i| Reverse((SimTime::ZERO, i)))
+        .collect();
     while let Some(Reverse((_, i))) = parked.pop() {
-        drivers[i].process_pending_shared(&mut ctx);
-        if !drivers[i].advance_local(&mut *inputs[i].source) {
+        if !drivers[i].run_to_park(&mut *inputs[i].source, &mut ctx) {
             parked.push(Reverse((drivers[i].clock(), i)));
         }
     }

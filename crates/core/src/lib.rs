@@ -82,8 +82,7 @@ pub use export::{
 pub use gms_cluster::ReplicationConfig;
 pub use gms_net::{DegradeWindow, FaultPlan, NodeEvent};
 pub use metrics::{
-    ClusterNetStats, DistanceHistogram, FaultCounts, FaultKind, FaultRecord, NodeNetStats,
-    OverlapStats,
+    ClusterNetStats, DistanceHistogram, FaultCounts, FaultRecord, NodeNetStats, OverlapStats,
 };
 pub use pipeline::{MessagePlan, PipelineStrategy};
 pub use policy::FetchPolicy;

@@ -1,9 +1,10 @@
 //! Paper-vs-measured calibration tests: the quantitative fidelity targets
 //! from DESIGN.md §5, asserted as tolerance bands.
 
-use gms_subpages::core::{FaultKind, FetchPolicy, MemoryConfig, RunReport, SimConfig, Simulator};
+use gms_subpages::core::{FetchPolicy, MemoryConfig, RunReport, SimConfig, Simulator};
 use gms_subpages::mem::SubpageSize;
 use gms_subpages::net::{ClusterNetwork, FaultTimeline, NetParams, TransferPlan};
+use gms_subpages::obs::FaultClass;
 use gms_subpages::trace::apps::{self, AppProfile};
 use gms_subpages::units::{Bytes, Duration, NodeId, SimTime};
 
@@ -116,7 +117,7 @@ fn every_remote_fault_waits_at_least_its_floor() {
         let waits: Vec<Duration> = report
             .fault_log
             .iter()
-            .filter(|f| f.kind == FaultKind::Remote)
+            .filter(|f| f.kind == FaultClass::Remote)
             .map(|f| f.wait)
             .collect();
         assert!(!waits.is_empty(), "{} faulted remotely", policy.label());
