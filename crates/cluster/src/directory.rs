@@ -111,37 +111,6 @@ impl Directory {
         self.target_replicas
     }
 
-    /// Grows the cluster: custodianship rehashes over `n_nodes` nodes,
-    /// and every existing entry migrates to its new custodian's shard.
-    /// The `(page, holders)` contents are unaffected — only which node
-    /// *answers* for a page changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_nodes` shrinks below the current size (nodes retire
-    /// in place; their ids remain valid).
-    pub fn resize(&mut self, n_nodes: u32) {
-        assert!(
-            n_nodes >= self.n_nodes,
-            "directory cannot shrink ({} -> {n_nodes})",
-            self.n_nodes
-        );
-        if n_nodes == self.n_nodes {
-            return;
-        }
-        let old: Vec<(PageId, ReplicaSet)> = self
-            .shards
-            .iter_mut()
-            .flat_map(|shard| shard.drain())
-            .collect();
-        self.n_nodes = n_nodes;
-        self.shards.resize(n_nodes as usize, FastMap::default());
-        for (page, set) in old {
-            let shard = self.custodian(page).as_usize();
-            self.shards[shard].insert(page, set);
-        }
-    }
-
     /// The node responsible for `page`'s directory entry. Deterministic
     /// hash of the page id, uniformly spread over the cluster.
     #[must_use]
@@ -469,29 +438,6 @@ mod tests {
         assert_eq!(dir.under_replicated(), 1);
         dir.clear(page);
         assert_eq!(dir.under_replicated(), 0);
-    }
-
-    #[test]
-    fn resize_rehashes_without_losing_entries() {
-        let mut dir = Directory::with_replicas(2, 2);
-        for i in 0..100 {
-            dir.record(PageId::new(i), NodeId::new((i % 2) as u32));
-            dir.add_replica(PageId::new(i), NodeId::new(((i + 1) % 2) as u32));
-        }
-        dir.resize(7);
-        assert_eq!(dir.len(), 100);
-        assert_eq!(dir.total_replicas(), 200);
-        for i in 0..100 {
-            let page = PageId::new(i);
-            assert_eq!(
-                dir.replicas(page),
-                &[
-                    NodeId::new((i % 2) as u32),
-                    NodeId::new(((i + 1) % 2) as u32)
-                ]
-            );
-            assert!(dir.custodian(page).index() < 7);
-        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl EpochManager {
                 .map(|n| if n.is_available() { 1.0 } else { 0.0 })
                 .collect();
         }
-        // Retired and crashed nodes never receive evictions.
+        // Active and crashed nodes never receive evictions.
         for (w, n) in self.weights.iter_mut().zip(nodes) {
             if !n.is_available() {
                 *w = 0.0;

@@ -253,8 +253,7 @@ impl Gms {
         let nodes = (0..n_nodes)
             .map(|i| {
                 // Active nodes donate no frames; zero capacity keeps them
-                // out of every placement decision (same machinery as a
-                // retired node).
+                // out of every placement decision.
                 let capacity = if i < n_active { 0 } else { frames_per_node };
                 Node::new(NodeId::new(i), capacity)
             })
@@ -438,8 +437,8 @@ impl Gms {
     ///
     /// # Panics
     ///
-    /// Panics if no live custodian exists (every idle node crashed or
-    /// retired) — use [`Gms::try_putpage`] when that can happen.
+    /// Panics if no live custodian exists (every idle node crashed) —
+    /// use [`Gms::try_putpage`] when that can happen.
     pub fn putpage(&mut self, from: NodeId, page: PageId, dirty: bool) -> PutPageOutcome {
         self.try_putpage(from, page, dirty)
             .expect("no live custodian to store the page")
@@ -636,77 +635,6 @@ impl Gms {
         if let Some(since) = self.vuln_open_since.take() {
             self.stats.window_of_vulnerability_ns += now_ns.saturating_sub(since);
         }
-    }
-
-    /// Adds an idle node donating `frames` global frames, returning its
-    /// id. New nodes start empty and attract evictions in proportion to
-    /// their free space from the next epoch on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames` is zero.
-    pub fn join_node(&mut self, frames: u64) -> NodeId {
-        assert!(frames > 0, "a joining node must donate frames");
-        let id = NodeId::new(self.nodes.len() as u32);
-        self.nodes.push(Node::new(id, frames));
-        self.directory.resize(self.nodes.len() as u32);
-        id
-    }
-
-    /// Retires an idle node: its cached pages are redistributed to the
-    /// remaining nodes (displacing the globally oldest pages to disk if
-    /// the remaining caches are full), and it stops receiving evictions.
-    /// Pages with surviving standby copies simply drop the retired
-    /// node's copy. Returns the pages that had to leave the network
-    /// entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is an active node, is already retired, or is the
-    /// last idle node.
-    pub fn retire_node(&mut self, node: NodeId) -> Vec<PageId> {
-        assert!(
-            node.index() >= self.n_active,
-            "cannot retire the active node"
-        );
-        assert!(
-            !self.nodes[node.as_usize()].is_retired(),
-            "{node} is already retired"
-        );
-        assert!(
-            self.nodes
-                .iter()
-                .filter(|n| n.id().index() >= self.n_active && !n.is_retired())
-                .count()
-                > 1,
-            "cannot retire the last idle node"
-        );
-        let mut pages = self.nodes[node.as_usize()].drain();
-        // Drain order is hash-map order; sort for determinism.
-        pages.sort_unstable_by_key(|&(page, _)| page);
-        self.nodes[node.as_usize()].retire();
-        let mut displaced = Vec::new();
-        for (page, entry) in pages {
-            self.directory.remove_replica(page, node);
-            if !self.directory.replicas(page).is_empty() {
-                // A standby copy survives elsewhere; no transfer needed.
-                self.queue_repair(page);
-                continue;
-            }
-            let target = self.epochs.pick_target(&self.nodes, node);
-            self.clock += 1;
-            if let Some(old) = self.nodes[target.as_usize()].store(page, entry.dirty, self.clock) {
-                self.directory.remove_replica(old, target);
-                if self.directory.replicas(old).is_empty() {
-                    self.stats.displaced_to_disk += 1;
-                    displaced.push(old);
-                } else {
-                    self.queue_repair(old);
-                }
-            }
-            self.directory.record(page, target);
-        }
-        displaced
     }
 
     /// Crashes an idle node: every page copy it cached is dropped, and a
@@ -939,67 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn join_node_attracts_future_evictions() {
-        let mut gms = warm_gms(3, 4, 8); // two idle nodes, full
-        let newcomer = gms.join_node(100);
-        assert_eq!(newcomer, NodeId::new(3));
-        // With the old nodes full, putpages flow to the newcomer without
-        // displacing anything.
-        for i in 0..20u64 {
-            let put = gms.putpage(NodeId::new(0), PageId::new(1000 + i), false);
-            assert_eq!(put.stored_at, newcomer, "iteration {i}");
-            assert_eq!(put.displaced, None);
-        }
-        assert!(gms.is_consistent());
-    }
-
-    #[test]
-    fn retire_node_redistributes_pages() {
-        let mut gms = warm_gms(4, 100, 90); // 30 pages per idle node
-        let displaced = gms.retire_node(NodeId::new(1));
-        assert!(displaced.is_empty(), "plenty of room elsewhere");
-        assert!(gms.nodes()[1].is_retired());
-        assert!(gms.nodes()[1].is_empty());
-        assert!(gms.is_consistent());
-        // Every page is still fetchable.
-        for i in 0..90 {
-            assert!(matches!(
-                gms.getpage(NodeId::new(0), PageId::new(i)),
-                GetPageOutcome::RemoteHit { .. }
-            ));
-        }
-        // And the retired node never receives new putpages.
-        for i in 0..50u64 {
-            let put = gms.putpage(NodeId::new(0), PageId::new(i), false);
-            assert_ne!(put.stored_at, NodeId::new(1));
-        }
-    }
-
-    #[test]
-    fn retire_into_full_cluster_displaces_to_disk() {
-        // Two idle nodes, both full; retiring one forces displacements.
-        let mut gms = warm_gms(3, 5, 10);
-        let displaced = gms.retire_node(NodeId::new(2));
-        assert!(!displaced.is_empty());
-        assert_eq!(gms.stats().displaced_to_disk, displaced.len() as u64);
-        assert!(gms.is_consistent());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot retire the last idle node")]
-    fn retiring_last_idle_node_panics() {
-        let mut gms = warm_gms(2, 10, 4);
-        gms.retire_node(NodeId::new(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot retire the active node")]
-    fn retiring_active_node_panics() {
-        let mut gms = warm_gms(3, 10, 4);
-        gms.retire_node(NodeId::new(0));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one idle node")]
     fn single_node_cluster_panics() {
         let _ = Gms::new(1, 10);
@@ -1026,14 +893,6 @@ mod tests {
             }
             assert!(gms.is_consistent(), "iteration {i}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot retire the active node")]
-    fn retiring_any_active_node_panics() {
-        let mut gms = Gms::with_active(5, 2, 10);
-        gms.warm_cache((0..4).map(PageId::new));
-        gms.retire_node(NodeId::new(1));
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl Node {
         self.capacity
     }
 
-    /// Whether the node has left the global cache (donates nothing).
-    #[must_use]
-    pub fn is_retired(&self) -> bool {
-        self.capacity == 0
-    }
-
     /// Whether the node is crashed (its cache is lost and it receives
     /// nothing until recovery).
     #[must_use]
@@ -83,7 +77,7 @@ impl Node {
     /// Whether the node can store and serve pages right now.
     #[must_use]
     pub fn is_available(&self) -> bool {
-        !self.is_retired() && !self.down
+        self.capacity > 0 && !self.down
     }
 
     /// Crashes the node: every cached page is lost (returned so the
@@ -104,29 +98,6 @@ impl Node {
         assert!(self.down, "{} is not down", self.id);
         debug_assert!(self.pages.is_empty(), "crash drained the cache");
         self.down = false;
-    }
-
-    /// Withdraws the node's frames. The cache must already be empty
-    /// (drain it first); afterwards the node is never picked as an
-    /// eviction target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pages are still cached here.
-    pub fn retire(&mut self) {
-        assert!(
-            self.pages.is_empty(),
-            "retiring {} with {} pages still cached",
-            self.id,
-            self.pages.len()
-        );
-        self.capacity = 0;
-    }
-
-    /// Removes and returns every cached page (used when the node leaves
-    /// the cluster and its contents must be redistributed).
-    pub fn drain(&mut self) -> Vec<(PageId, GlobalEntry)> {
-        self.pages.drain().collect()
     }
 
     /// Pages currently cached.

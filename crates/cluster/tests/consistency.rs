@@ -1,10 +1,10 @@
 //! Property tests for the GMS protocol: the directory and node contents
-//! stay mutually consistent under arbitrary operation sequences,
-//! including membership changes.
+//! stay mutually consistent under arbitrary operation sequences and
+//! under node crashes.
 
 use proptest::prelude::*;
 
-use gms_cluster::{Directory, GetPageOutcome, Gms, ReplicationConfig};
+use gms_cluster::{GetPageOutcome, Gms, ReplicationConfig};
 use gms_mem::PageId;
 use gms_units::NodeId;
 
@@ -14,8 +14,6 @@ enum Op {
     Get(u64),
     Put(u64, bool),
     Discard(u64),
-    Join(u64),
-    Retire(u32),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -23,8 +21,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (0u64..200).prop_map(Op::Get),
         4 => ((0u64..200), prop::bool::ANY).prop_map(|(p, d)| Op::Put(p, d)),
         1 => (0u64..200).prop_map(Op::Discard),
-        1 => (1u64..50).prop_map(Op::Join),
-        1 => (1u32..8).prop_map(Op::Retire),
     ]
 }
 
@@ -66,25 +62,6 @@ proptest! {
                 Op::Discard(p) => {
                     gms.discard(active, PageId::new(p));
                     global.remove(&p);
-                }
-                Op::Join(frames) => {
-                    gms.join_node(frames);
-                }
-                Op::Retire(idx) => {
-                    let n = gms.nodes().len() as u32;
-                    let target = 1 + idx % (n - 1);
-                    let idle = gms
-                        .nodes()
-                        .iter()
-                        .filter(|nd| nd.id().index() != 0 && !nd.is_retired())
-                        .count();
-                    let candidate = &gms.nodes()[target as usize];
-                    if idle > 1 && !candidate.is_retired() {
-                        for page in gms.retire_node(NodeId::new(target)) {
-                            // Displaced pages left the network.
-                            prop_assert!(global.remove(&page.get()), "{page} was not tracked");
-                        }
-                    }
                 }
             }
             prop_assert!(gms.is_consistent());
@@ -138,59 +115,6 @@ proptest! {
             }
         }
         prop_assert!(gms.is_consistent());
-    }
-
-    /// The retire bookkeeping: displaced counts match the stats delta.
-    #[test]
-    fn retire_displacement_accounting(pages in 1u64..40, frames in 1u64..30) {
-        let mut gms = Gms::new(3, frames.max(pages.div_ceil(2)));
-        gms.warm_cache((0..pages).map(PageId::new));
-        let before = gms.stats().displaced_to_disk;
-        let displaced = gms.retire_node(NodeId::new(1));
-        prop_assert_eq!(gms.stats().displaced_to_disk - before, displaced.len() as u64);
-        prop_assert!(gms.is_consistent());
-    }
-
-    /// Growing the directory rehashes custodianship without orphaning a
-    /// single entry: every recorded `(page, holders)` set survives the
-    /// resize byte-identically, and every custodian lands in range.
-    #[test]
-    fn directory_resize_never_orphans_an_entry(
-        entries in prop::collection::vec(
-            (0u64..10_000, 0u32..4, prop::collection::vec(0u32..4, 0..3)),
-            1..80,
-        ),
-        grow_to in 4u32..40,
-    ) {
-        let mut dir = Directory::with_replicas(4, 2);
-        let mut expected: Vec<(PageId, Vec<NodeId>)> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for (page, primary, extras) in entries {
-            if !seen.insert(page) {
-                continue; // one replica set per page
-            }
-            let page = PageId::new(page);
-            let mut holders = vec![NodeId::new(primary)];
-            dir.record(page, holders[0]);
-            for extra in extras {
-                let extra = NodeId::new(extra);
-                if !holders.contains(&extra) {
-                    dir.add_replica(page, extra);
-                    holders.push(extra);
-                }
-            }
-            expected.push((page, holders));
-        }
-        let total_before = dir.total_replicas();
-        let under_before = dir.under_replicated();
-        dir.resize(grow_to);
-        prop_assert_eq!(dir.len(), expected.len());
-        prop_assert_eq!(dir.total_replicas(), total_before);
-        prop_assert_eq!(dir.under_replicated(), under_before);
-        for (page, holders) in expected {
-            prop_assert_eq!(dir.replicas(page), holders.as_slice(), "{} orphaned", page);
-            prop_assert!(dir.custodian(page).index() < grow_to);
-        }
     }
 
     /// A custodian crash rebuilds its directory shard from surviving

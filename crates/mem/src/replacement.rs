@@ -139,13 +139,6 @@ impl Lru {
             self.tail = slot;
         }
     }
-
-    /// The current victim candidate (least recently used), without
-    /// removing it.
-    #[must_use]
-    pub fn coldest(&self) -> Option<PageId> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].page)
-    }
 }
 
 impl ReplacementPolicy for Lru {
@@ -554,7 +547,6 @@ mod tests {
         lru.touch(p(0));
         lru.touch(p(1));
         // Order of coldness now: 2, 3, 0, 1.
-        assert_eq!(lru.coldest(), Some(p(2)));
         assert_eq!(lru.evict(), Some(p(2)));
         assert_eq!(lru.evict(), Some(p(3)));
         assert_eq!(lru.evict(), Some(p(0)));

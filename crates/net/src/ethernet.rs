@@ -56,30 +56,6 @@ impl EthernetLink {
         }
     }
 
-    /// Creates a segment with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `utilization` is not in `[0, 1)`.
-    #[must_use]
-    pub fn with_utilization(
-        name: &'static str,
-        rate: BytesPerSec,
-        fixed: Duration,
-        utilization: f64,
-    ) -> Self {
-        assert!(
-            (0.0..1.0).contains(&utilization),
-            "utilization must be in [0, 1)"
-        );
-        EthernetLink {
-            rate,
-            fixed,
-            utilization,
-            name,
-        }
-    }
-
     /// The background utilization of the segment.
     #[must_use]
     pub fn utilization(&self) -> f64 {
@@ -129,12 +105,6 @@ mod tests {
         let loaded = EthernetLink::loaded();
         let disk = DiskModel::paper(AccessPattern::Random);
         assert!(loaded.transfer_time(Bytes::new(256)) < disk.transfer_time(Bytes::new(256)));
-    }
-
-    #[test]
-    #[should_panic(expected = "utilization")]
-    fn full_utilization_panics() {
-        let _ = EthernetLink::with_utilization("bad", BytesPerSec::new(1), Duration::ZERO, 1.0);
     }
 
     #[test]

@@ -57,9 +57,9 @@ pub const HEAT_SCHEMA: &str = "gms-heat/v1";
 
 /// Hard cap on time-bucket series length. Activity past the cap folds
 /// into the last bucket instead of growing the series, so a heat map's
-/// memory is bounded however long the run is (at the default 1 ms
-/// quantum the cap covers a 16+ second run, an order of magnitude past
-/// the longest benched workload).
+/// memory is bounded however long the run is (at the 1 ms
+/// [`HeatMap::QUANTUM`] the cap covers a 16+ second run, an order of
+/// magnitude past the longest benched workload).
 const MAX_BUCKETS: usize = 16_384;
 
 /// Never-matching region-cache sentinel (no node is `u32::MAX`).
@@ -133,7 +133,7 @@ pub struct RegionStats {
     /// Refault intervals (nanoseconds between successive faults on the
     /// same page) of the region's pages.
     pub refault: QuantileSketch,
-    /// `(time bucket, faults)` for every [`HeatMap::quantum`]-sized
+    /// `(time bucket, faults)` for every [`HeatMap::QUANTUM`]-sized
     /// bucket holding a fault, ascending: the series behind
     /// [`heat_perfetto`]'s hot-region counter tracks.
     pub fault_series: Vec<(u32, u32)>,
@@ -241,7 +241,6 @@ impl HeatTotals {
 #[derive(Debug, Clone)]
 pub struct HeatMap {
     region_shift: u32,
-    quantum_ns: u64,
     wire: bool,
     /// `(node, region)` → arena slot. The stats live out-of-map so the
     /// hot path can keep a one-entry cache of the last slot touched
@@ -276,7 +275,6 @@ impl PartialEq for HeatMap {
     fn eq(&self, other: &Self) -> bool {
         let (this, other) = (self.settled(), other.settled());
         this.region_shift == other.region_shift
-            && this.quantum_ns == other.quantum_ns
             && this.wire == other.wire
             && this.nodes == other.nodes
             && this.pages.len() == other.pages.len()
@@ -308,13 +306,14 @@ impl HeatMap {
         FaultClass::Degraded,
     ];
 
-    /// An empty map with 64-page regions, a 1 ms counter quantum and
-    /// wire tracking off.
+    /// The time-bucket quantum of the counter series.
+    pub const QUANTUM: Duration = Duration::from_millis(1);
+
+    /// An empty map with 64-page regions and wire tracking off.
     #[must_use]
     pub fn new() -> Self {
         HeatMap {
             region_shift: 6,
-            quantum_ns: 1_000_000,
             wire: false,
             index: RegionIndex::default(),
             arena: Vec::new(),
@@ -340,17 +339,6 @@ impl HeatMap {
         self
     }
 
-    /// Sets the time-bucket quantum of the counter series.
-    ///
-    /// # Panics
-    /// If `quantum` is zero.
-    #[must_use]
-    pub fn with_quantum(mut self, quantum: Duration) -> Self {
-        assert!(quantum > Duration::ZERO, "counter quantum must be non-zero");
-        self.quantum_ns = quantum.as_nanos();
-        self
-    }
-
     /// Opts into wire-occupancy tracking: the recorder keeps asking for
     /// background events and folds `WireIn`/`WireOut` occupancies into
     /// per-node busy buckets. Costs roughly what full trace buffering
@@ -367,18 +355,6 @@ impl HeatMap {
     #[must_use]
     pub fn region_pages(&self) -> u64 {
         1 << self.region_shift
-    }
-
-    /// The counter-series time quantum.
-    #[must_use]
-    pub fn quantum(&self) -> Duration {
-        Duration::from_nanos(self.quantum_ns)
-    }
-
-    /// Whether wire-occupancy tracking is on.
-    #[must_use]
-    pub fn wire_tracking(&self) -> bool {
-        self.wire
     }
 
     /// Whether nothing has been observed.
@@ -512,16 +488,12 @@ impl HeatMap {
     ///
     /// # Panics
     /// If the two maps were configured with different region
-    /// granularities or quanta — merging those would silently mix
-    /// incomparable keys.
+    /// granularities — merging those would silently mix incomparable
+    /// keys.
     pub fn merge(&mut self, other: &HeatMap) {
         assert_eq!(
             self.region_shift, other.region_shift,
             "cannot merge heat maps with different region granularities"
-        );
-        assert_eq!(
-            self.quantum_ns, other.quantum_ns,
-            "cannot merge heat maps with different counter quanta"
         );
         self.settle();
         let other = other.settled();
@@ -547,7 +519,7 @@ impl HeatMap {
     #[inline]
     fn bucket(&self, at_ns: u64) -> u32 {
         // MAX_BUCKETS fits u32.
-        (at_ns / self.quantum_ns).min(MAX_BUCKETS as u64 - 1) as u32
+        (at_ns / Self::QUANTUM.as_nanos()).min(MAX_BUCKETS as u64 - 1) as u32
     }
 
     fn node_mut(&mut self, node: u32) -> &mut NodeHeat {
@@ -659,7 +631,7 @@ impl HeatMap {
 
     #[inline(never)]
     fn on_wire(&mut self, node: u32, start_ns: u64, end_ns: u64) {
-        let quantum = self.quantum_ns;
+        let quantum = Self::QUANTUM.as_nanos();
         let series = &mut self.node_mut(node).wire_busy;
         let mut t = start_ns;
         while t < end_ns {
@@ -799,7 +771,7 @@ pub fn heat_json(heat: &HeatMap) -> String {
         out,
         "{{\"schema\":\"{HEAT_SCHEMA}\",\"region_pages\":{},\"quantum_ns\":{}",
         heat.region_pages(),
-        heat.quantum().as_nanos()
+        HeatMap::QUANTUM.as_nanos()
     );
 
     out.push_str(",\"totals\":");
@@ -924,7 +896,7 @@ fn push_totals(out: &mut String, t: &HeatTotals) {
 #[must_use]
 pub fn heat_perfetto(heat: &HeatMap, top: usize) -> String {
     let heat = &*heat.settled();
-    let quantum = heat.quantum().as_nanos();
+    let quantum = HeatMap::QUANTUM.as_nanos();
     let mut out = open_trace();
     for (node, _) in heat.nodes() {
         let name = format!("node{}", node.index());

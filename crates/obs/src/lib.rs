@@ -90,7 +90,7 @@ pub use event::{Event, FaultClass, PolicyChoice, ResourceKind};
 pub use flight::{Exemplar, FlightRecorder, WindowTally};
 pub use heat::{heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA};
 pub use json::{escape_json, JsonValue, MAX_JSON_DEPTH};
-pub use perfetto::{perfetto_trace, trace_nodes, APP_TRACK};
+pub use perfetto::{perfetto_trace, APP_TRACK};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
 pub use sketch::QuantileSketch;
 pub use timeseries::{metrics_json, TimeSeriesRecorder, Window, METRICS_SCHEMA};

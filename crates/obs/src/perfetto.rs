@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
-use gms_units::{NodeId, SimTime};
+use gms_units::SimTime;
 
 use crate::event::{Event, ResourceKind};
 use crate::json::Escaped;
@@ -323,20 +323,12 @@ where
     close_trace(out)
 }
 
-/// The set of node indices appearing in a trace (exported for tests
-/// and the `check-trace` validator).
-#[must_use]
-pub fn trace_nodes(events: &[Event]) -> Vec<NodeId> {
-    let set: BTreeSet<u32> = events.iter().map(|e| e.node().index()).collect();
-    set.into_iter().map(NodeId::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::FaultClass;
     use crate::json::JsonValue;
-    use gms_units::Duration;
+    use gms_units::{Duration, NodeId};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -440,8 +432,6 @@ mod tests {
             .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("i"))
             .count();
         assert_eq!(instants, 4); // fault + restart + 2 arrivals
-
-        assert_eq!(trace_nodes(&events), vec![NodeId::new(0), NodeId::new(1)]);
     }
 
     #[test]
