@@ -162,7 +162,10 @@ fn recorded_occupancies_sum_to_reported_wire_busy() {
     }
     assert_eq!(wire_in, report.net.wire_in_busy.as_nanos());
     assert_eq!(wire_out, report.net.wire_out_busy.as_nanos());
-    assert!(wire_out >= wire_in, "detached sends add outbound-only time");
+    assert_eq!(
+        wire_out, wire_in,
+        "every transfer books both wire directions"
+    );
 }
 
 /// The exported Perfetto JSON parses, every `"ph":"X"` span carries the
