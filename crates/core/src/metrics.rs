@@ -53,26 +53,19 @@ impl NodeNetStats {
     /// Busy time of one resource.
     #[must_use]
     pub fn busy(&self, r: NetResource) -> Duration {
-        self.busy[Self::idx(r)]
+        self.busy[r.index()]
     }
 
     /// Queue delay inflicted by one resource.
     #[must_use]
     pub fn waited(&self, r: NetResource) -> Duration {
-        self.waited[Self::idx(r)]
+        self.waited[r.index()]
     }
 
     /// Queue delay summed over this node's five resources.
     #[must_use]
     pub fn total_waited(&self) -> Duration {
         self.waited.iter().copied().sum()
-    }
-
-    fn idx(r: NetResource) -> usize {
-        NetResource::ALL
-            .iter()
-            .position(|&x| x == r)
-            .expect("ALL contains every resource")
     }
 }
 

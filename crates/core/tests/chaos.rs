@@ -13,9 +13,9 @@ use gms_core::{
     SimConfig, Simulator,
 };
 use gms_mem::SubpageSize;
-use gms_obs::{heat_json, Event, FlightRecorder, HeatMap, MemoryRecorder, ResourceKind};
+use gms_obs::{heat_json, Event, FlightRecorder, HeatMap, MemoryRecorder};
 use gms_trace::apps;
-use gms_units::{Duration, NodeId, SimTime};
+use gms_units::{Duration, NetResource, NodeId, SimTime};
 
 fn all_policies() -> Vec<FetchPolicy> {
     vec![
@@ -42,7 +42,7 @@ fn config(policy: FetchPolicy, memory: MemoryConfig, plan: Option<FaultPlan>) ->
 /// pair overlap: the five-resource pipeline stays a pipeline even when
 /// transfers are retried, degraded or dropped.
 fn assert_occupancies_disjoint<'a>(events: impl IntoIterator<Item = &'a Event>) {
-    let mut spans: HashMap<(NodeId, ResourceKind), Vec<(SimTime, SimTime)>> = HashMap::new();
+    let mut spans: HashMap<(NodeId, NetResource), Vec<(SimTime, SimTime)>> = HashMap::new();
     for ev in events {
         if let Event::Occupancy {
             node,

@@ -12,7 +12,7 @@
 //! server) is the paper's single-node pipeline: a fresh one times an
 //! isolated fault, as Table 2 and Figure 2 do.
 
-use gms_units::{Bytes, Duration, NodeId, SimTime};
+use gms_units::{Bytes, Duration, NetResource, NodeId, SimTime};
 
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::timeline::{FaultTimeline, MessageArrival, RecvOverhead, SendTimeline, TransferPlan};
@@ -30,35 +30,6 @@ pub enum FaultAttempt {
     /// Resources spent before the loss (requester fault CPU, and the
     /// server side if the request got through) stay occupied.
     Failed,
-}
-
-/// One of a node's five serially-reusable network resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NetResource {
-    /// The node CPU's share of message processing.
-    Cpu,
-    /// The inbound (receive) DMA ring.
-    DmaIn,
-    /// The outbound (transmit) DMA ring.
-    DmaOut,
-    /// The inbound wire direction of the node's switch port.
-    WireIn,
-    /// The outbound wire direction of the node's switch port.
-    WireOut,
-}
-
-impl NetResource {
-    /// A short human-readable label (`cpu`, `dma-in`, …).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            NetResource::Cpu => "cpu",
-            NetResource::DmaIn => "dma-in",
-            NetResource::DmaOut => "dma-out",
-            NetResource::WireIn => "wire-in",
-            NetResource::WireOut => "wire-out",
-        }
-    }
 }
 
 /// One recorded occupancy of a `(node, resource)` pair, available when
@@ -147,17 +118,6 @@ impl NodeNet {
     pub fn total_waited(&self) -> Duration {
         NetResource::ALL.iter().map(|&r| self.waited(r)).sum()
     }
-}
-
-impl NetResource {
-    /// All five resources, in a fixed order.
-    pub const ALL: [NetResource; 5] = [
-        NetResource::Cpu,
-        NetResource::DmaIn,
-        NetResource::DmaOut,
-        NetResource::WireIn,
-        NetResource::WireOut,
-    ];
 }
 
 /// A cluster-wide network: one [`NodeNet`] per node on a full-duplex

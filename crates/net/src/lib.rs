@@ -52,10 +52,11 @@ mod resource;
 mod timeline;
 
 pub use atm::AtmLink;
-pub use cluster_net::{ClusterNetwork, FaultAttempt, NetResource, NodeNet, Occupancy};
+pub use cluster_net::{ClusterNetwork, FaultAttempt, NodeNet, Occupancy};
 pub use disk::{AccessPattern, DiskModel};
 pub use ethernet::EthernetLink;
 pub use faults::{DegradeWindow, FaultInjector, FaultPlan, NodeEvent};
+pub use gms_units::NetResource;
 pub use link::{FixedRateLink, LinkModel};
 pub use params::NetParams;
 pub use resource::Resource;

@@ -23,10 +23,10 @@
 //! [`AttributionReport::by_component`] and the mean service column
 //! reproduces the restart-latency decomposition of Table 2.
 
-use gms_units::{Duration, FastMap, NodeId, SimTime};
+use gms_units::{Duration, FastMap, NetResource, NodeId, SimTime};
 
 use crate::counters::CounterRegistry;
-use crate::event::{Event, FaultClass, ResourceKind};
+use crate::event::{Event, FaultClass};
 use crate::json::escape_json;
 
 /// Schema tag of the JSON rendering produced by [`attribution_json`].
@@ -38,7 +38,7 @@ pub struct Hop {
     /// The node whose resource was held.
     pub node: NodeId,
     /// Which resource.
-    pub resource: ResourceKind,
+    pub resource: NetResource,
     /// The pipeline stage label (`"fault+request"`, `"dma-out"`, …).
     pub what: &'static str,
     /// Time spent queued behind earlier occupants (`start - ready`).
@@ -126,7 +126,7 @@ pub struct AttributionReport {
     /// Per-fault breakdowns, in completion order.
     pub faults: Vec<FaultAttribution>,
     /// Off-critical-path occupancy usage per resource kind, summed
-    /// over all fault windows (indexed like [`ResourceKind::ALL`]).
+    /// over all fault windows (indexed like [`NetResource::ALL`]).
     pub off_path: [OffPathUsage; 5],
 }
 
@@ -136,7 +136,7 @@ pub struct ComponentRow {
     /// Stable component key (`"cpu/fault+request"`, `"transit"`, …).
     pub key: String,
     /// The resource involved, if the component is an occupancy hop.
-    pub resource: Option<ResourceKind>,
+    pub resource: Option<NetResource>,
     /// How many faults contributed to this component.
     pub count: u64,
     /// Total queueing time across contributing faults.
@@ -185,7 +185,7 @@ impl AttributionReport {
     pub fn by_component(&self, class: Option<FaultClass>) -> Vec<ComponentRow> {
         let mut rows: Vec<ComponentRow> = Vec::new();
         let mut index: FastMap<String, usize> = FastMap::default();
-        let mut add = |key: String, resource: Option<ResourceKind>, q: Duration, s: Duration| {
+        let mut add = |key: String, resource: Option<NetResource>, q: Duration, s: Duration| {
             let i = *index.entry(key.clone()).or_insert_with(|| {
                 rows.push(ComponentRow {
                     key,
@@ -235,7 +235,7 @@ impl AttributionReport {
     pub fn by_node(&self) -> Vec<ComponentRow> {
         let mut rows: Vec<ComponentRow> = Vec::new();
         let mut index: FastMap<String, usize> = FastMap::default();
-        let mut add = |key: String, resource: Option<ResourceKind>, q: Duration, s: Duration| {
+        let mut add = |key: String, resource: Option<NetResource>, q: Duration, s: Duration| {
             let i = *index.entry(key.clone()).or_insert_with(|| {
                 rows.push(ComponentRow {
                     key,
@@ -393,7 +393,7 @@ impl PrefetchStats {
 #[derive(Debug, Clone, Copy)]
 struct Occ {
     node: NodeId,
-    resource: ResourceKind,
+    resource: NetResource,
     what: &'static str,
     ready: SimTime,
     start: SimTime,
@@ -596,11 +596,11 @@ fn close_fault(
         // Stage labels in pipeline order; the wire hop is matched on
         // the requester's inbound direction (the outbound twin on the
         // server records the same interval).
-        let stages: [(&str, Option<ResourceKind>); 6] = [
+        let stages: [(&str, Option<NetResource>); 6] = [
             ("process-request", None),
             ("send-setup", None),
             ("dma-out", None),
-            ("data", Some(ResourceKind::WireIn)),
+            ("data", Some(NetResource::WireIn)),
             ("dma-in", None),
             ("receive+resume", None),
         ];
@@ -779,7 +779,7 @@ mod tests {
 
     fn occ(
         node: u32,
-        resource: ResourceKind,
+        resource: NetResource,
         what: &'static str,
         ready: u64,
         start: u64,
@@ -813,15 +813,15 @@ mod tests {
                 page: 7,
                 at: t(0),
             },
-            occ(0, ResourceKind::Cpu, "fault+request", 0, 0, 140),
+            occ(0, NetResource::Cpu, "fault+request", 0, 0, 140),
             // 15 ns transit gap, then the server CPU is busy until 200.
-            occ(1, ResourceKind::Cpu, "process-request", 155, 200, 340),
-            occ(1, ResourceKind::Cpu, "send-setup", 340, 340, 365),
-            occ(1, ResourceKind::DmaOut, "dma-out", 365, 365, 500),
-            occ(0, ResourceKind::WireIn, "data", 500, 500, 700),
-            occ(1, ResourceKind::WireOut, "data", 500, 500, 700),
-            occ(0, ResourceKind::DmaIn, "dma-in", 700, 700, 850),
-            occ(0, ResourceKind::Cpu, "receive+resume", 850, 850, 1000),
+            occ(1, NetResource::Cpu, "process-request", 155, 200, 340),
+            occ(1, NetResource::Cpu, "send-setup", 340, 340, 365),
+            occ(1, NetResource::DmaOut, "dma-out", 365, 365, 500),
+            occ(0, NetResource::WireIn, "data", 500, 500, 700),
+            occ(1, NetResource::WireOut, "data", 500, 500, 700),
+            occ(0, NetResource::DmaIn, "dma-in", 700, 700, 850),
+            occ(0, NetResource::Cpu, "receive+resume", 850, 850, 1000),
             Event::Restart {
                 node: NodeId::new(0),
                 page: 7,
@@ -848,7 +848,7 @@ mod tests {
         assert_eq!(wires, 1);
         assert_eq!(
             f.hops.iter().find(|h| h.what == "data").unwrap().resource,
-            ResourceKind::WireIn
+            NetResource::WireIn
         );
     }
 
@@ -889,7 +889,7 @@ mod tests {
                 at: t(0),
             },
             // Failed attempt: request CPU spent, nothing returns.
-            occ(0, ResourceKind::Cpu, "fault+request", 0, 0, 140),
+            occ(0, NetResource::Cpu, "fault+request", 0, 0, 140),
             Event::Timeout {
                 node: NodeId::new(0),
                 page: 7,
@@ -903,14 +903,14 @@ mod tests {
                 at: t(3000),
             },
             // Successful attempt, shifted by the 3000 ns of stall.
-            occ(0, ResourceKind::Cpu, "fault+request", 3000, 3000, 3140),
-            occ(1, ResourceKind::Cpu, "process-request", 3155, 3155, 3295),
-            occ(1, ResourceKind::Cpu, "send-setup", 3295, 3295, 3320),
-            occ(1, ResourceKind::DmaOut, "dma-out", 3320, 3320, 3455),
-            occ(0, ResourceKind::WireIn, "data", 3455, 3455, 3655),
-            occ(1, ResourceKind::WireOut, "data", 3455, 3455, 3655),
-            occ(0, ResourceKind::DmaIn, "dma-in", 3655, 3655, 3805),
-            occ(0, ResourceKind::Cpu, "receive+resume", 3805, 3805, 3955),
+            occ(0, NetResource::Cpu, "fault+request", 3000, 3000, 3140),
+            occ(1, NetResource::Cpu, "process-request", 3155, 3155, 3295),
+            occ(1, NetResource::Cpu, "send-setup", 3295, 3295, 3320),
+            occ(1, NetResource::DmaOut, "dma-out", 3320, 3320, 3455),
+            occ(0, NetResource::WireIn, "data", 3455, 3455, 3655),
+            occ(1, NetResource::WireOut, "data", 3455, 3455, 3655),
+            occ(0, NetResource::DmaIn, "dma-in", 3655, 3655, 3805),
+            occ(0, NetResource::Cpu, "receive+resume", 3805, 3805, 3955),
         ];
         events.push(Event::Restart {
             node: NodeId::new(0),

@@ -1,62 +1,6 @@
 //! The typed event taxonomy of the fault lifecycle.
 
-use gms_units::{Duration, NodeId, SimTime};
-
-/// One of a node's five serially-reusable network resources, as an
-/// observability key. This mirrors the cluster network's resource set
-/// (`gms-net` maps its `NetResource` onto this one-to-one) so events
-/// can carry `(node, resource, direction)` keys without the network
-/// crate depending on this one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResourceKind {
-    /// The node CPU's share of message processing.
-    Cpu,
-    /// The inbound (receive) DMA ring.
-    DmaIn,
-    /// The outbound (transmit) DMA ring.
-    DmaOut,
-    /// The inbound wire direction of the node's switch port.
-    WireIn,
-    /// The outbound wire direction of the node's switch port.
-    WireOut,
-}
-
-impl ResourceKind {
-    /// All five resources, in a fixed order (the per-node track order
-    /// of the Perfetto export).
-    pub const ALL: [ResourceKind; 5] = [
-        ResourceKind::Cpu,
-        ResourceKind::DmaIn,
-        ResourceKind::DmaOut,
-        ResourceKind::WireIn,
-        ResourceKind::WireOut,
-    ];
-
-    /// A short human-readable label (`cpu`, `dma-in`, …).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ResourceKind::Cpu => "cpu",
-            ResourceKind::DmaIn => "dma-in",
-            ResourceKind::DmaOut => "dma-out",
-            ResourceKind::WireIn => "wire-in",
-            ResourceKind::WireOut => "wire-out",
-        }
-    }
-
-    /// The position of this resource in [`ResourceKind::ALL`] — the
-    /// stable per-node track index used by exporters.
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            ResourceKind::Cpu => 0,
-            ResourceKind::DmaIn => 1,
-            ResourceKind::DmaOut => 2,
-            ResourceKind::WireIn => 3,
-            ResourceKind::WireOut => 4,
-        }
-    }
-}
+use gms_units::{Duration, NetResource, NodeId, SimTime};
 
 /// What serviced a fault (the observability mirror of the engine's
 /// fault kinds, kept dependency-free).
@@ -218,7 +162,7 @@ pub enum Event {
         /// The node whose resource was occupied.
         node: NodeId,
         /// Which of the node's five resources.
-        resource: ResourceKind,
+        resource: NetResource,
         /// What the occupancy was for (`"dma-out"`, `"request"`, …).
         what: &'static str,
         /// When the work entered the resource's queue (its input became
@@ -434,21 +378,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resource_index_matches_all_order() {
-        for (i, r) in ResourceKind::ALL.iter().enumerate() {
-            assert_eq!(r.index(), i);
-        }
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let mut labels: Vec<&str> = ResourceKind::ALL.iter().map(|r| r.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), 5);
-    }
-
-    #[test]
     fn event_node_extraction() {
         let e = Event::Fault {
             node: NodeId::new(3),
@@ -462,7 +391,7 @@ mod tests {
         assert_eq!(e.page(), Some(7));
         let occ = Event::Occupancy {
             node: NodeId::new(1),
-            resource: ResourceKind::Cpu,
+            resource: NetResource::Cpu,
             what: "request",
             ready: SimTime::ZERO,
             start: SimTime::ZERO,

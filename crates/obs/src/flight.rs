@@ -753,7 +753,7 @@ impl Recorder for FlightRecorder {
 mod tests {
     use super::*;
     use crate::attribute;
-    use crate::event::ResourceKind;
+    use gms_units::NetResource;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -775,7 +775,7 @@ mod tests {
             },
             Event::Occupancy {
                 node,
-                resource: ResourceKind::Cpu,
+                resource: NetResource::Cpu,
                 what: "fault+request",
                 ready: t(start),
                 start: t(start),

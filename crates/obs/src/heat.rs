@@ -45,9 +45,9 @@
 use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
 
-use gms_units::{Duration, FastMap, NodeId};
+use gms_units::{Duration, FastMap, NetResource, NodeId};
 
-use crate::event::{Event, FaultClass, ResourceKind};
+use crate::event::{Event, FaultClass};
 use crate::perfetto::{close_trace, open_trace, push_meta, Us};
 use crate::recorder::Recorder;
 use crate::sketch::{merge_counts, QuantileSketch};
@@ -737,7 +737,7 @@ impl Recorder for HeatMap {
             Event::Repair { node, .. } => self.node_mut(node.index()).repairs += 1,
             Event::Occupancy {
                 node,
-                resource: ResourceKind::WireIn | ResourceKind::WireOut,
+                resource: NetResource::WireIn | NetResource::WireOut,
                 start,
                 end,
                 ..
@@ -1088,7 +1088,7 @@ mod tests {
     fn wire_tracking_is_opt_in_and_buckets_spans() {
         let occ = Event::Occupancy {
             node: NodeId::new(0),
-            resource: ResourceKind::WireIn,
+            resource: NetResource::WireIn,
             what: "data",
             ready: t(900_000),
             start: t(900_000),
@@ -1107,7 +1107,7 @@ mod tests {
         // Non-wire occupancies are ignored even with tracking on.
         on.record(Event::Occupancy {
             node: NodeId::new(0),
-            resource: ResourceKind::Cpu,
+            resource: NetResource::Cpu,
             what: "request",
             ready: t(0),
             start: t(0),
@@ -1167,7 +1167,7 @@ mod tests {
         heat.record(fault(0, 1, FaultClass::Remote, 1_500_000));
         heat.record(Event::Occupancy {
             node: NodeId::new(0),
-            resource: ResourceKind::WireOut,
+            resource: NetResource::WireOut,
             what: "data",
             ready: t(0),
             start: t(0),

@@ -51,13 +51,13 @@
 //! # Examples
 //!
 //! ```
-//! use gms_obs::{Event, MemoryRecorder, Recorder, ResourceKind};
-//! use gms_units::{NodeId, SimTime};
+//! use gms_obs::{Event, MemoryRecorder, Recorder};
+//! use gms_units::{NetResource, NodeId, SimTime};
 //!
 //! let mut rec = MemoryRecorder::new();
 //! rec.record(Event::Occupancy {
 //!     node: NodeId::new(2),
-//!     resource: ResourceKind::WireIn,
+//!     resource: NetResource::WireIn,
 //!     what: "data",
 //!     ready: SimTime::ZERO,
 //!     start: SimTime::ZERO,
@@ -86,7 +86,7 @@ pub use attrib::{
     Hop, OffPathUsage, PrefetchStats, ATTRIB_SCHEMA,
 };
 pub use counters::CounterRegistry;
-pub use event::{Event, FaultClass, PolicyChoice, ResourceKind};
+pub use event::{Event, FaultClass, PolicyChoice};
 pub use flight::{Exemplar, FlightRecorder, WindowTally};
 pub use heat::{heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA};
 pub use json::{escape_json, JsonValue, MAX_JSON_DEPTH};

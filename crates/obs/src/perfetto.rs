@@ -6,7 +6,7 @@
 //!
 //! * process = simulated node (`pid` = node index, named `node<i>`),
 //! * thread = one of the node's five network resources (`tid` 0–4 in
-//!   [`ResourceKind::ALL`] order) plus an `app` track (`tid` 5) for
+//!   [`NetResource::ALL`] order) plus an `app` track (`tid` 5) for
 //!   program-side events,
 //! * complete (`"ph":"X"`) spans for resource occupancies and program
 //!   stalls, instant (`"ph":"i"`) events for faults, getpage requests,
@@ -20,9 +20,9 @@
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
-use gms_units::SimTime;
+use gms_units::{NetResource, SimTime};
 
-use crate::event::{Event, ResourceKind};
+use crate::event::Event;
 use crate::json::Escaped;
 
 /// `tid` of the synthetic per-node application track.
@@ -312,7 +312,7 @@ where
     // are labelled even when empty.
     for &node in &nodes {
         push_meta(&mut out, node, 0, "process_name", &format!("node{node}"));
-        for r in ResourceKind::ALL {
+        for r in NetResource::ALL {
             push_meta(&mut out, node, r.index(), "thread_name", r.label());
         }
         push_meta(&mut out, node, APP_TRACK, "thread_name", "app");
@@ -363,7 +363,7 @@ mod tests {
             },
             Event::Occupancy {
                 node: NodeId::new(1),
-                resource: ResourceKind::Cpu,
+                resource: NetResource::Cpu,
                 what: "request",
                 ready: t(150),
                 start: t(150),
@@ -371,7 +371,7 @@ mod tests {
             },
             Event::Occupancy {
                 node: NodeId::new(0),
-                resource: ResourceKind::WireIn,
+                resource: NetResource::WireIn,
                 what: "data",
                 ready: t(250),
                 start: t(300),
@@ -422,7 +422,7 @@ mod tests {
         assert_eq!(wire.get("pid").and_then(JsonValue::as_u64), Some(0));
         assert_eq!(
             wire.get("tid").and_then(JsonValue::as_u64),
-            Some(ResourceKind::WireIn.index() as u64)
+            Some(NetResource::WireIn.index() as u64)
         );
         assert_eq!(wire.get("ts").and_then(JsonValue::as_f64), Some(0.3));
         assert_eq!(wire.get("dur").and_then(JsonValue::as_f64), Some(5.0));

@@ -316,8 +316,8 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FaultClass, ResourceKind};
-    use gms_units::{NodeId, SimTime};
+    use crate::event::FaultClass;
+    use gms_units::{NetResource, NodeId, SimTime};
 
     fn sample() -> Event {
         Event::Fault {
@@ -337,7 +337,7 @@ mod tests {
         rec.record(sample());
         rec.record(Event::Occupancy {
             node: NodeId::new(1),
-            resource: ResourceKind::Cpu,
+            resource: NetResource::Cpu,
             what: "request",
             ready: SimTime::ZERO,
             start: SimTime::ZERO,

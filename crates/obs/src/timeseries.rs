@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use gms_units::{Duration, SimTime};
+use gms_units::{Duration, NetResource, SimTime};
 
 use crate::counters::CounterRegistry;
 use crate::event::Event;
@@ -60,7 +60,7 @@ pub struct Window {
     /// the window length for the mean number of in-flight fetches.
     pub inflight: Duration,
     /// Busy time per resource kind (summed over nodes), clipped to
-    /// this window; indexed like [`crate::ResourceKind::ALL`].
+    /// this window; indexed like [`NetResource::ALL`].
     pub busy: [Duration; 5],
     /// Restart waits of faults completing in this window.
     pub waits: QuantileSketch,
@@ -257,7 +257,7 @@ impl TimeSeriesRecorder {
             "# HELP gms_resource_busy_seconds_total Busy time per resource kind, summed over nodes.\n\
              # TYPE gms_resource_busy_seconds_total counter\n",
         );
-        for r in crate::ResourceKind::ALL {
+        for r in NetResource::ALL {
             let busy: Duration = self.windows.iter().map(|w| w.busy[r.index()]).sum();
             out.push_str(&format!(
                 "gms_resource_busy_seconds_total{{resource=\"{}\"}} {:.9}\n",
@@ -294,8 +294,7 @@ impl TimeSeriesRecorder {
 pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
     let window_ns = ts.window().as_nanos();
     let nodes = ts.n_nodes().max(1) as u64;
-    let util_keys =
-        crate::ResourceKind::ALL.map(|r| format!("util_{}", r.label().replace('-', "_")));
+    let util_keys = NetResource::ALL.map(|r| format!("util_{}", r.label().replace('-', "_")));
     let mut out = format!(
         "{{\"schema\":\"{METRICS_SCHEMA}\",\"window_ns\":{window_ns},\"nodes\":{},\"windows\":[",
         ts.n_nodes()
@@ -321,7 +320,7 @@ pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
             "inflight_mean",
             w.inflight.as_nanos() as f64 / window_ns as f64,
         );
-        for (r, key) in crate::ResourceKind::ALL.iter().zip(&util_keys) {
+        for (r, key) in NetResource::ALL.iter().zip(&util_keys) {
             // Aggregate utilization: busy time over every node's copy of
             // this resource. The last window is partial, so its
             // utilization is understated.
@@ -342,7 +341,7 @@ pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FaultClass, ResourceKind};
+    use crate::event::FaultClass;
     use crate::json::JsonValue;
     use gms_units::NodeId;
 
@@ -355,7 +354,7 @@ mod tests {
         let mut ts = TimeSeriesRecorder::new(Duration::from_nanos(1_000));
         ts.record(Event::Occupancy {
             node: NodeId::new(0),
-            resource: ResourceKind::Cpu,
+            resource: NetResource::Cpu,
             what: "fault+request",
             ready: t(500),
             start: t(500),
@@ -400,7 +399,7 @@ mod tests {
         let mut ts = TimeSeriesRecorder::new(Duration::from_nanos(1_000));
         ts.record(Event::Occupancy {
             node: NodeId::new(0),
-            resource: ResourceKind::WireIn,
+            resource: NetResource::WireIn,
             what: "data",
             ready: t(0),
             start: t(0),

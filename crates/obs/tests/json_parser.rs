@@ -4,8 +4,8 @@
 
 use std::time::{Duration, Instant};
 
-use gms_obs::{escape_json, perfetto_trace, Event, FaultClass, JsonValue, ResourceKind};
-use gms_units::{NodeId, SimTime};
+use gms_obs::{escape_json, perfetto_trace, Event, FaultClass, JsonValue};
+use gms_units::{NetResource, NodeId, SimTime};
 use proptest::prelude::*;
 
 /// Pieces of JSON syntax, so that random inputs get past the first
@@ -99,7 +99,7 @@ fn parse_time_is_linear_in_document_size() {
                 },
                 Event::Occupancy {
                     node,
-                    resource: ResourceKind::WireIn,
+                    resource: NetResource::WireIn,
                     what: "data",
                     ready: at,
                     start: at,

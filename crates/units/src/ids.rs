@@ -50,6 +50,54 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// One of a node's five serially-reusable network resources: the
+/// network books transfers on them, and the recorders and exporters key
+/// their per-resource tracks and counters by them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NetResource {
+    /// The node CPU's share of message processing.
+    Cpu,
+    /// The inbound (receive) DMA ring.
+    DmaIn,
+    /// The outbound (transmit) DMA ring.
+    DmaOut,
+    /// The inbound wire direction of the node's switch port.
+    WireIn,
+    /// The outbound wire direction of the node's switch port.
+    WireOut,
+}
+
+impl NetResource {
+    /// All five resources, in a fixed order (the per-node track order
+    /// of the Perfetto export).
+    pub const ALL: [NetResource; 5] = [
+        NetResource::Cpu,
+        NetResource::DmaIn,
+        NetResource::DmaOut,
+        NetResource::WireIn,
+        NetResource::WireOut,
+    ];
+
+    /// A short human-readable label (`cpu`, `dma-in`, …).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            NetResource::Cpu => "cpu",
+            NetResource::DmaIn => "dma-in",
+            NetResource::DmaOut => "dma-out",
+            NetResource::WireIn => "wire-in",
+            NetResource::WireOut => "wire-out",
+        }
+    }
+
+    /// The position of this resource in [`NetResource::ALL`]: the
+    /// stable per-node index of exporters and per-resource arrays.
+    #[must_use]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,5 +114,20 @@ mod tests {
     #[test]
     fn orders_by_index() {
         assert!(NodeId::new(1) < NodeId::new(2));
+    }
+
+    #[test]
+    fn resource_index_matches_all_order() {
+        for (i, r) in NetResource::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
+    }
+
+    #[test]
+    fn resource_labels_are_distinct() {
+        let mut labels: Vec<&str> = NetResource::ALL.iter().map(|r| r.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), 5);
     }
 }

@@ -34,6 +34,6 @@ pub use addr::VirtAddr;
 pub use bytes::Bytes;
 pub use cycles::{ClockRate, Cycles};
 pub use hash::{FastHasher, FastMap, FastSet};
-pub use ids::NodeId;
+pub use ids::{NetResource, NodeId};
 pub use rate::BytesPerSec;
 pub use time::{Duration, SimTime};

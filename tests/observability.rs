@@ -11,11 +11,10 @@ use proptest::prelude::*;
 use gms_subpages::core::{ClusterSim, FetchPolicy, MemoryConfig, SimConfig, Simulator};
 use gms_subpages::mem::SubpageSize;
 use gms_subpages::obs::{
-    attribute, perfetto_trace, Event, JsonValue, MemoryRecorder, ResourceKind, TimeSeriesRecorder,
-    APP_TRACK,
+    attribute, perfetto_trace, Event, JsonValue, MemoryRecorder, TimeSeriesRecorder, APP_TRACK,
 };
 use gms_subpages::trace::apps;
-use gms_subpages::units::Duration;
+use gms_subpages::units::{Duration, NetResource};
 
 fn policies() -> [FetchPolicy; 6] {
     [
@@ -154,8 +153,8 @@ fn recorded_occupancies_sum_to_reported_wire_busy() {
         {
             let dur = end.as_nanos() - start.as_nanos();
             match resource {
-                ResourceKind::WireIn => wire_in += dur,
-                ResourceKind::WireOut => wire_out += dur,
+                NetResource::WireIn => wire_in += dur,
+                NetResource::WireOut => wire_out += dur,
                 _ => {}
             }
         }
@@ -225,9 +224,9 @@ fn perfetto_spans_are_disjoint_and_account_for_the_wire() {
             );
         }
         let busy: u64 = spans.iter().map(|(s, e)| e - s).sum();
-        if *tid == ResourceKind::WireIn.index() as u64 {
+        if *tid == NetResource::WireIn.index() as u64 {
             wire_in += busy;
-        } else if *tid == ResourceKind::WireOut.index() as u64 {
+        } else if *tid == NetResource::WireOut.index() as u64 {
             wire_out += busy;
         }
     }
@@ -291,7 +290,7 @@ fn timeseries_threads_directly_through_cluster_runs() {
     let wire_in: Duration = direct
         .windows()
         .iter()
-        .map(|w| w.busy[ResourceKind::WireIn.index()])
+        .map(|w| w.busy[NetResource::WireIn.index()])
         .sum();
     assert_eq!(wire_in, report.net.wire_in_busy);
 
