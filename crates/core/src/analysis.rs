@@ -29,12 +29,6 @@ pub fn cumulative_fault_series(report: &RunReport) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Runtime speedup of `candidate` over `baseline` (>1 means faster).
-#[must_use]
-pub fn speedup(candidate: &RunReport, baseline: &RunReport) -> f64 {
-    candidate.speedup_vs(baseline)
-}
-
 /// Down-samples a series to at most `max_points` evenly-spaced points
 /// (keeping the first and last), for compact figure output.
 #[must_use]
