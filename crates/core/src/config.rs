@@ -5,105 +5,8 @@ use gms_mem::PageSize;
 use gms_net::{FaultPlan, NetParams};
 use gms_units::Duration;
 
+use crate::engine::REF_COST;
 use crate::FetchPolicy;
-
-/// The engine's remote-transfer retry knobs. The defaults reproduce the
-/// constants the engine originally hard-coded, so a default
-/// `RetryConfig` leaves every report byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Remote-transfer attempts before giving up on a custodian: the
-    /// initial request plus `max_fetch_attempts - 1` retries.
-    pub max_fetch_attempts: u32,
-    /// Putpage send attempts before the model assumes delivery. Putpage
-    /// is positive-ACK with retransmit; this backstop bounds the retry
-    /// loop so every run terminates even under adversarial loss rates
-    /// (at 5% loss the default backstop fires with probability
-    /// 0.05⁸ ≈ 4e-11).
-    pub max_putpage_attempts: u32,
-    /// The first backoff is `timeout / backoff_divisor`.
-    pub backoff_divisor: u32,
-    /// Each retry doubles the backoff, up to `1 << backoff_cap` base
-    /// units.
-    pub backoff_cap: u32,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_fetch_attempts: 4,
-            max_putpage_attempts: 8,
-            backoff_divisor: 4,
-            backoff_cap: 3,
-        }
-    }
-}
-
-/// The longest one custodian may stall a fault, in getpage timeouts. A
-/// getpage timeout is below 2^25 ns on every modelled network (an 8 KB
-/// page over 10 Mb/s Ethernet waits 16.8 ms), so such a stall stays
-/// below 2^41 ns and the u64-nanosecond clock (2^64 ns, 584 years)
-/// holds 2^23 of them.
-const MAX_STALL_TIMEOUTS: u64 = 1 << 16;
-
-impl RetryConfig {
-    /// One custodian's worst-case stall of a fault, in getpage timeouts:
-    /// every one of `max_fetch_attempts` attempts times out, and each
-    /// backoff between them is `1 / backoff_divisor` of a timeout
-    /// doubled per retry up to `1 << backoff_cap`. Returned as
-    /// `(numerator, backoff_divisor)`, exact for caps below 64.
-    fn worst_stall(&self) -> (u128, u128) {
-        let attempts = u128::from(self.max_fetch_attempts);
-        let retries = attempts.saturating_sub(1);
-        // Backoffs 1..=k double; the remaining `retries - k` sit at the cap.
-        let k = retries.min(u128::from(self.backoff_cap));
-        let backoffs = (1u128 << (k + 1)) - 2 + (retries - k) * (1u128 << self.backoff_cap);
-        let divisor = u128::from(self.backoff_divisor);
-        (attempts * divisor + backoffs, divisor)
-    }
-
-    /// Checks the knobs for values that would wedge or overflow the
-    /// retry loops, returning a human-readable complaint instead of
-    /// panicking mid-run.
-    ///
-    /// # Errors
-    ///
-    /// Rejects zero attempt counts (the loops would never send), a zero
-    /// backoff divisor (division by zero), a backoff cap at or above 64
-    /// (the doubling factor `1 << cap` would overflow `u64`), and a
-    /// schedule under which one custodian can stall a fault for more
-    /// than 2^16 getpage timeouts — `max_fetch_attempts` expiries plus
-    /// every backoff between them at its capped length. The
-    /// u64-nanosecond clock holds 2^23 such stalls.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_fetch_attempts == 0 {
-            return Err("max fetch attempts must be at least 1".into());
-        }
-        if self.max_putpage_attempts == 0 {
-            return Err("max putpage attempts must be at least 1".into());
-        }
-        if self.backoff_divisor == 0 {
-            return Err("backoff divisor must be at least 1".into());
-        }
-        if self.backoff_cap >= 64 {
-            return Err("backoff cap must be below 64 (doubling factor overflows)".into());
-        }
-        let (stall, divisor) = self.worst_stall();
-        if stall > u128::from(MAX_STALL_TIMEOUTS) * divisor {
-            return Err(format!(
-                "{} fetch attempts with backoff cap {} and divisor {} can stall one fault for \
-                 {:.0} getpage timeouts, above the {} that keep the nanosecond clock from \
-                 overflowing",
-                self.max_fetch_attempts,
-                self.backoff_cap,
-                self.backoff_divisor,
-                stall as f64 / divisor as f64,
-                MAX_STALL_TIMEOUTS
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// How much local memory the traced program gets (Figure 3's three
 /// configurations).
@@ -233,9 +136,6 @@ pub struct SimConfig {
     pub policy: FetchPolicy,
     /// Local memory available to the program.
     pub memory: MemoryConfig,
-    /// Simulated time per memory reference. The paper measures ~12 ns:
-    /// "83,000 events correspond to one millisecond" (§3.2).
-    pub ns_per_ref: u64,
     /// Network timing constants.
     pub net: NetParams,
     /// Cluster size (one active node plus idle memory servers).
@@ -248,9 +148,6 @@ pub struct SimConfig {
     /// `Some(empty)` both leave the run byte-identical to a fault-free
     /// one: an empty plan is never installed, so no RNG is ever drawn.
     pub fault_plan: Option<FaultPlan>,
-    /// Remote-transfer retry knobs. The defaults reproduce the engine's
-    /// original hard-coded constants byte-for-byte.
-    pub retry: RetryConfig,
     /// Page replication: how many copies each putpage writes and how
     /// fast crash-repair traffic re-replicates. The default (one copy,
     /// no repair work to do) is byte-identical to the pre-replication
@@ -260,9 +157,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Starts building a configuration from the paper's defaults:
-    /// 8 KB pages, full-page remote fetch, full memory, 12 ns per
-    /// reference, the calibrated AN2 network, 4 nodes, TLB-supported
-    /// subpage access.
+    /// 8 KB pages, full-page remote fetch, full memory, the calibrated
+    /// AN2 network, 4 nodes, TLB-supported subpage access.
     #[must_use]
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder {
@@ -270,10 +166,12 @@ impl SimConfig {
         }
     }
 
-    /// Time for `n` references of pure execution.
+    /// Time for `n` references of pure execution, at the engine's fixed
+    /// 12 ns per reference: "83,000 events correspond to one
+    /// millisecond" (§3.2).
     #[must_use]
     pub fn exec_time(&self, n: u64) -> Duration {
-        Duration::from_nanos(self.ns_per_ref * n)
+        REF_COST * n
     }
 }
 
@@ -283,13 +181,11 @@ impl Default for SimConfig {
             page_size: PageSize::P8K,
             policy: FetchPolicy::fullpage(),
             memory: MemoryConfig::Full,
-            ns_per_ref: 12,
             net: NetParams::paper(),
             cluster_nodes: 4,
             access_cost: AccessCost::default(),
             replacement: ReplacementKind::default(),
             fault_plan: None,
-            retry: RetryConfig::default(),
             replication: ReplicationConfig::default(),
         }
     }
@@ -320,18 +216,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn memory(mut self, memory: MemoryConfig) -> Self {
         self.config.memory = memory;
-        self
-    }
-
-    /// Sets the simulated cost of one memory reference, in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns` is zero.
-    #[must_use]
-    pub fn ns_per_ref(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "a reference must take non-zero time");
-        self.config.ns_per_ref = ns;
         self
     }
 
@@ -373,21 +257,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.config.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the remote-transfer retry knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the knobs fail [`RetryConfig::validate`]. Callers that
-    /// must not panic (the CLI) validate first and surface the error.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        if let Err(e) = retry.validate() {
-            panic!("invalid retry config: {e}");
-        }
-        self.config.retry = retry;
         self
     }
 
@@ -442,11 +311,11 @@ mod tests {
         let config = SimConfig::builder()
             .policy(FetchPolicy::eager(SubpageSize::S1K))
             .memory(MemoryConfig::Half)
-            .ns_per_ref(10)
+            .replacement(ReplacementKind::Clock)
             .cluster_nodes(8)
             .access_cost(AccessCost::PalEmulated)
             .build();
-        assert_eq!(config.ns_per_ref, 10);
+        assert_eq!(config.replacement, ReplacementKind::Clock);
         assert_eq!(config.cluster_nodes, 8);
         assert_eq!(config.access_cost, AccessCost::PalEmulated);
         assert_eq!(config.policy.label(), "sp_1024");
@@ -458,94 +327,6 @@ mod tests {
         // 83,000 events correspond to one millisecond (§3.2).
         let ms = config.exec_time(83_000).as_millis_f64();
         assert!((0.95..1.05).contains(&ms), "{ms} ms");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero time")]
-    fn zero_ref_cost_panics() {
-        let _ = SimConfig::builder().ns_per_ref(0);
-    }
-
-    #[test]
-    fn retry_defaults_match_original_constants() {
-        let retry = SimConfig::default().retry;
-        assert_eq!(retry.max_fetch_attempts, 4);
-        assert_eq!(retry.max_putpage_attempts, 8);
-        assert_eq!(retry.backoff_divisor, 4);
-        assert_eq!(retry.backoff_cap, 3);
-        assert!(retry.validate().is_ok());
-    }
-
-    #[test]
-    fn retry_validation_rejects_degenerate_knobs() {
-        let ok = RetryConfig::default();
-        assert!(RetryConfig {
-            max_fetch_attempts: 0,
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryConfig {
-            max_putpage_attempts: 0,
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryConfig {
-            backoff_divisor: 0,
-            ..ok
-        }
-        .validate()
-        .is_err());
-        assert!(RetryConfig {
-            backoff_cap: 64,
-            ..ok
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
-    fn retry_validation_bounds_the_worst_stall() {
-        let schedule = |max_fetch_attempts, backoff_divisor, backoff_cap| RetryConfig {
-            max_fetch_attempts,
-            max_putpage_attempts: 8,
-            backoff_divisor,
-            backoff_cap,
-        };
-        // The defaults: 4 timeouts plus backoffs of 2, 4 and 8 quarters.
-        assert_eq!(RetryConfig::default().worst_stall(), (4 * 4 + 14, 4));
-        // Attempts past the cap each add 2^cap quarters.
-        assert_eq!(
-            schedule(6, 4, 2).worst_stall(),
-            (6 * 4 + 2 + 4 + 4 + 4 + 4, 4)
-        );
-        assert_eq!(schedule(1, 1, 63).worst_stall(), (1, 1));
-        // Exactly at the limit passes; one attempt more does not.
-        assert_eq!(schedule(21_846, 1, 1).worst_stall(), (1 << 16, 1));
-        assert!(schedule(21_846, 1, 1).validate().is_ok());
-        assert!(schedule(21_847, 1, 1).validate().is_err());
-        // Settings the CLI tests use stay accepted.
-        for ok in [schedule(3, 4, 8), schedule(6, 4, 3), schedule(8, 4, 3)] {
-            assert!(ok.validate().is_ok(), "{ok:?}");
-        }
-        // The bound assumes every timeout fits in 2^25 ns; the slowest
-        // modelled network's longest one (a whole page) does.
-        let slowest = NetParams::ethernet().getpage_timeout(gms_units::Bytes::kib(8));
-        assert!(slowest < Duration::from_nanos(1 << 25), "{slowest}");
-        let err = schedule(64, 4, 40).validate().expect_err("cap 40");
-        assert!(err.contains("above the 65536"), "{err}");
-        assert!(schedule(64, 4, 63).validate().is_err());
-        assert!(schedule(u32::MAX, 4, 3).validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid retry config")]
-    fn builder_rejects_invalid_retry() {
-        let _ = SimConfig::builder().retry(RetryConfig {
-            max_fetch_attempts: 0,
-            ..RetryConfig::default()
-        });
     }
 
     #[test]

@@ -381,6 +381,7 @@ impl SweepResults {
 mod tests {
     use super::*;
     use gms_mem::SubpageSize;
+    use gms_net::NetParams;
     use gms_trace::apps;
 
     fn tiny_sweep() -> SweepResults {
@@ -440,17 +441,24 @@ mod tests {
 
     #[test]
     fn configure_applies_to_every_cell() {
-        let results = Sweep::new(apps::gdb().scaled(0.1))
+        let app = apps::gdb().scaled(0.1);
+        let results = Sweep::new(app.clone())
             .policies([FetchPolicy::fullpage()])
             .memories([MemoryConfig::Half])
-            .configure(|b| b.ns_per_ref(24))
+            .configure(|b| b.net(NetParams::ethernet()))
             .run();
         let cell = &results.cells()[0];
-        // Doubled per-reference cost doubles exec time.
-        assert_eq!(
-            cell.report.exec_time.as_nanos(),
-            24 * cell.report.total_refs
-        );
+        // The cell ran on the configured network, not the default AN2.
+        let run = |net| {
+            let config = SimConfig::builder()
+                .policy(FetchPolicy::fullpage())
+                .memory(MemoryConfig::Half)
+                .net(net)
+                .build();
+            Simulator::new(config).run(&app)
+        };
+        assert_eq!(cell.report, run(NetParams::ethernet()));
+        assert_ne!(cell.report, run(NetParams::paper()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Paper-vs-measured calibration tests: the quantitative fidelity targets
 //! from DESIGN.md §5, asserted as tolerance bands.
 
-use gms_subpages::core::{FetchPolicy, MemoryConfig, RunReport, SimConfig, Simulator};
+use gms_subpages::core::{FaultPlan, FetchPolicy, MemoryConfig, RunReport, SimConfig, Simulator};
 use gms_subpages::mem::SubpageSize;
 use gms_subpages::net::{ClusterNetwork, FaultTimeline, NetParams, TransferPlan};
 use gms_subpages::obs::FaultClass;
@@ -128,6 +128,49 @@ fn every_remote_fault_waits_at_least_its_floor() {
         );
         assert_eq!(waits.iter().min(), Some(&floor), "{}", policy.label());
     }
+}
+
+/// The fixed retry ladder, summed by hand. Under near-total loss every
+/// getpage attempt expires, so each fault waits out four timeouts and
+/// the three backoffs between them (2, 4 and 8 quarter-timeouts), fails
+/// over with no standby copy, and reads the page from disk; every
+/// putpage is sent eight times.
+#[test]
+fn near_total_loss_walks_the_whole_retry_ladder() {
+    let config = SimConfig::builder()
+        .policy(FetchPolicy::eager(SubpageSize::S1K))
+        .memory(MemoryConfig::Half)
+        .fault_plan(FaultPlan {
+            loss: 0.999_999,
+            seed: 1,
+            ..FaultPlan::default()
+        })
+        .build();
+    let report = Simulator::new(config).run(&apps::gdb().scaled(0.05));
+    // The getpage timeout doubles message 0's loss-free delivery.
+    let timeout = restart_floor(1024) * 2;
+    // One random 8 KB disk read: 12.1 ms to position, 5 MB/s media.
+    let disk =
+        Duration::from_micros(12_100) + Duration::from_nanos(8192 * 1_000_000_000 / 5_000_000);
+    let wait = timeout * 4 + timeout / 4 * 14 + disk;
+    assert_eq!(
+        (timeout, disk, wait),
+        (
+            Duration::from_nanos(1_110_104),
+            Duration::from_nanos(13_738_400),
+            Duration::from_nanos(22_064_180)
+        )
+    );
+    let faults = report.faults.total();
+    assert_eq!((faults, report.evictions), (35, 31));
+    assert_eq!(report.fault_log.len() as u64, faults);
+    for f in &report.fault_log {
+        assert_eq!((f.kind, f.wait), (FaultClass::Disk, wait), "{f:?}");
+    }
+    assert_eq!(report.timeouts, 4 * faults);
+    assert_eq!(report.retries, 3 * faults + 7 * report.evictions);
+    assert_eq!(report.failovers, faults);
+    assert_eq!(report.fell_back_to_disk, faults);
 }
 
 /// Every application's footprint equals its paper full-memory fault
