@@ -278,7 +278,10 @@ impl ReplacementPolicy for Fifo {
 // Clock (second chance).
 // ---------------------------------------------------------------------
 
-/// The classic clock / second-chance approximation of LRU.
+/// The classic clock / second-chance approximation of LRU, as in
+/// Tanenbaum's *Modern Operating Systems*: the page that replaces an
+/// eviction takes the victim's ring slot, and the hand moves one past
+/// it.
 ///
 /// Like [`Fifo`], `remove` is lazy and each insert stamps the page and
 /// its ring slot with a fresh generation, so only a page's newest slot
@@ -291,6 +294,10 @@ pub struct Clock {
     /// referenced bit.
     referenced: PageMap<(u64, bool)>,
     hand: usize,
+    /// The slot the last eviction emptied, under the hand, until the
+    /// next insert fills it. Another eviction first drops it as a
+    /// stale slot.
+    vacant: Option<usize>,
     generation: u64,
 }
 
@@ -320,7 +327,14 @@ impl ReplacementPolicy for Clock {
                 .is_none(),
             "{page} inserted twice into Clock"
         );
-        self.ring.push((page, self.generation));
+        let slot = (page, self.generation);
+        match self.vacant.take() {
+            Some(i) => {
+                self.ring[i] = slot;
+                self.hand = i + 1;
+            }
+            None => self.ring.push(slot),
+        }
     }
 
     fn touch(&mut self, page: PageId) {
@@ -330,6 +344,7 @@ impl ReplacementPolicy for Clock {
     }
 
     fn evict(&mut self) -> Option<PageId> {
+        self.vacant = None;
         if self.referenced.is_empty() {
             return None;
         }
@@ -345,8 +360,9 @@ impl ReplacementPolicy for Clock {
                         *r = false;
                         self.hand += 1;
                     } else {
-                        self.ring.swap_remove(self.hand);
+                        // The slot stays, stale, for the next insert.
                         self.referenced.remove(page);
+                        self.vacant = Some(self.hand);
                         return Some(page);
                     }
                 }
@@ -595,6 +611,25 @@ mod tests {
         // 1 is referenced: it survives the first sweep, 2 goes.
         assert_eq!(clock.evict(), Some(p(2)));
         assert_eq!(clock.evict(), Some(p(1)));
+    }
+
+    #[test]
+    fn clock_refills_the_evicted_slot_in_place() {
+        let mut clock = Clock::new();
+        for i in 1..=3 {
+            clock.insert(p(i));
+        }
+        // 1 goes, and 4 takes its slot: the ring reads 4, 2, 3 with the
+        // hand on 2, so the next sweep visits the page after the victim
+        // rather than the newest one.
+        assert_eq!(clock.evict(), Some(p(1)));
+        clock.insert(p(4));
+        assert_eq!(clock.evict(), Some(p(2)));
+        clock.insert(p(5));
+        assert_eq!(clock.evict(), Some(p(3)));
+        clock.insert(p(6));
+        // A full turn later the hand is back on the first slot.
+        assert_eq!(clock.evict(), Some(p(4)));
     }
 
     #[test]

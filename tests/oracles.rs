@@ -8,7 +8,9 @@
 //! exactly the faults of a plain LRU over that sequence (subpage refills
 //! are not page faults); under any replacement policy it must take at
 //! least Belady's MIN, the offline optimum (Belady, 1966). Non-Linear
-//! Paging (PAPERS.md) uses the same bound for subpage fetches.
+//! Paging (PAPERS.md) uses the same bound for subpage fetches. Under
+//! FIFO and Clock it must take exactly the faults of the textbook ring
+//! of frames each is.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -124,6 +126,41 @@ fn min_faults(seq: &[u64], frames: u64) -> u64 {
     faults
 }
 
+/// Faults of a ring of `frames` frames over `seq`, as in Tanenbaum's
+/// *Modern Operating Systems*: frames fill in order; on a fault with
+/// memory full the hand's page goes, the new page takes its frame, and
+/// the hand moves one past it. With `second_chance` this is the clock:
+/// every visit sets the page's referenced bit, and a referenced page
+/// under the hand loses the bit instead of its frame. Without it the
+/// hand always rests on the oldest page, which is FIFO.
+fn ring_faults(seq: &[u64], frames: u64, second_chance: bool) -> u64 {
+    let mut ring: Vec<(u64, bool)> = Vec::new();
+    let mut slot: HashMap<u64, usize> = HashMap::new();
+    let mut hand = 0;
+    let mut faults = 0;
+    for &page in seq {
+        if let Some(&i) = slot.get(&page) {
+            ring[i].1 = second_chance;
+            continue;
+        }
+        faults += 1;
+        if (ring.len() as u64) < frames {
+            slot.insert(page, ring.len());
+            ring.push((page, second_chance));
+            continue;
+        }
+        while ring[hand].1 {
+            ring[hand].1 = false;
+            hand = (hand + 1) % ring.len();
+        }
+        slot.remove(&ring[hand].0);
+        slot.insert(page, hand);
+        ring[hand] = (page, second_chance);
+        hand = (hand + 1) % ring.len();
+    }
+    faults
+}
+
 fn config(policy: FetchPolicy, memory: MemoryConfig, replacement: ReplacementKind) -> SimConfig {
     SimConfig::builder()
         .policy(policy)
@@ -231,7 +268,8 @@ fn lru_oracle_matches_a_random_trace_that_crosses_and_skips_pages() {
 }
 
 /// No replacement policy beats Belady's MIN, and MIN is strictly lower
-/// than LRU somewhere memory is short.
+/// than LRU somewhere memory is short. The same runs check FIFO and
+/// Clock against their ring models exactly.
 #[test]
 fn belady_min_floors_every_replacement_policy() {
     let replacements = [
@@ -256,6 +294,18 @@ fn belady_min_floors_every_replacement_policy() {
                     app.name(),
                     memory.label()
                 );
+                let model = match replacement {
+                    ReplacementKind::Fifo => ring_faults(&seq, frames, false),
+                    ReplacementKind::Clock => ring_faults(&seq, frames, true),
+                    _ => continue,
+                };
+                assert_eq!(
+                    faults,
+                    model,
+                    "{} {} {replacement:?}: the ring model takes {model}",
+                    app.name(),
+                    memory.label()
+                );
             }
         }
     }
@@ -270,4 +320,5 @@ fn oracles_match_the_textbook_reference_string() {
     let seq = [7, 0, 1, 2, 0, 3, 0, 4, 2, 3, 0, 3, 2, 1, 2, 0, 1, 7, 0, 1];
     assert_eq!(lru_faults(&seq, 3), 12);
     assert_eq!(min_faults(&seq, 3), 9);
+    assert_eq!(ring_faults(&seq, 3, false), 15);
 }
