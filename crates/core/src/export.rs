@@ -113,6 +113,21 @@ impl SloCount {
     }
 }
 
+/// One window of a node's SLO tallies ([`ClusterReport::slo_windows`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowTally {
+    /// The window index: the fault's time over the window length, 0
+    /// when the whole run is one window.
+    pub window: u64,
+    /// Faults taken in the window.
+    pub faults: u64,
+    /// Faults whose final wait (restart wait plus later stalls)
+    /// exceeded the threshold.
+    pub violations: u64,
+    /// The final waits of the window's faults, summed.
+    pub wait: Duration,
+}
+
 /// Appends `slo`'s object to a summary document as its last key.
 #[must_use]
 pub fn with_slo(mut summary: String, slo: &SloCount) -> String {

@@ -75,7 +75,7 @@ pub use config::{AccessCost, MemoryConfig, ReplacementKind, SimConfig, SimConfig
 pub use engine::Simulator;
 pub use export::{
     cluster_summary_json, reliability_counters, run_counters, run_summary_json, tail_json,
-    wait_json, with_slo, SloCount, SUMMARY_SCHEMA, TAIL_PERCENTILES, WAIT_PERCENTILES,
+    wait_json, with_slo, SloCount, WindowTally, SUMMARY_SCHEMA, TAIL_PERCENTILES, WAIT_PERCENTILES,
 };
 pub use gms_cluster::ReplicationConfig;
 pub use gms_net::{DegradeWindow, FaultPlan, NodeEvent};

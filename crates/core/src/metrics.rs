@@ -2,10 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use gms_mem::{PageId, SubpageIndex};
 use gms_net::NetResource;
 use gms_obs::FaultClass;
-use gms_units::{Duration, NodeId};
+use gms_units::{Duration, NodeId, SimTime};
 
 /// Aggregate contention metrics for the shared cluster network over one
 /// multi-node run.
@@ -75,10 +74,9 @@ pub struct FaultRecord {
     /// How many references had been executed when the fault occurred
     /// (the X axis of Figures 6 and 10).
     pub at_ref: u64,
-    /// The faulted page.
-    pub page: PageId,
-    /// The faulted subpage within it.
-    pub subpage: SubpageIndex,
+    /// The node clock when the fault was taken: the time of its `Fault`
+    /// event, which is its restart time less its restart wait.
+    pub at: SimTime,
     /// What serviced it: the class of the `Fault` event that opened it,
     /// except that a remote fault which fell back to disk is `Disk`.
     pub kind: FaultClass,
@@ -212,6 +210,12 @@ impl DistanceHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fault_records_stay_four_words() {
+        // Reports retain one record per fault.
+        assert_eq!(std::mem::size_of::<FaultRecord>(), 32);
+    }
 
     #[test]
     fn fault_counts_record_by_kind() {

@@ -139,7 +139,12 @@ proptest! {
                     prop_assert_eq!(
                         a.total_wait(),
                         r.wait,
-                        "{} {:?} page {}", policy.label(), memory, r.page
+                        "{} {:?} page {}", policy.label(), memory, a.page
+                    );
+                    prop_assert_eq!(
+                        a.fault_at,
+                        r.at,
+                        "{} {:?} page {}", policy.label(), memory, a.page
                     );
                 }
                 prop_assert_eq!(
@@ -179,26 +184,20 @@ proptest! {
                             None => builder.build(),
                         };
                         let flight = FlightRecorder::new(4)
-                            .with_window(Duration::from_millis(50))
-                            .with_slo(Duration::from_micros(200));
+                            .with_window(Duration::from_millis(50));
                         let heat = HeatMap::new().with_region_pages(16).with_wire_tracking();
                         let mut rec = (MemoryRecorder::new(), (flight, heat));
                         let report = ClusterSim::new(cfg).run_recorded(&apps, &mut rec);
-                        let (events, (mut flight, heat)) = rec;
-                        flight.seal();
+                        let (events, (flight, heat)) = rec;
                         let exemplars: Vec<_> = flight
                             .exemplars()
                             .iter()
                             .map(|e| (e.node, e.page, e.subpage, e.window, e.wait, e.events.len()))
                             .collect();
-                        let tallies: Vec<_> = flight
-                            .windows()
-                            .map(|(node, ws)| (node, ws.to_vec()))
-                            .collect();
                         let artifacts = (
                             gms_core::cluster_summary_json(&report),
                             gms_obs::perfetto_trace(events.iter()),
-                            (exemplars, flight.exemplar_events(), tallies),
+                            (exemplars, flight.exemplar_events()),
                             heat_json(&heat),
                         );
                         (report, artifacts, events)

@@ -1,14 +1,11 @@
 //! Engine-level contract of the flight recorder: on real runs its
 //! retained exemplars agree exactly with the engine's own fault log
-//! and replay through the attribution walk with conservation intact,
-//! while its SLO accounting covers every fault — not just the
-//! retained ones.
+//! and replay through the attribution walk with conservation intact.
 
 use gms_core::{ClusterSim, FetchPolicy, MemoryConfig, SimConfig, Simulator};
 use gms_mem::SubpageSize;
 use gms_obs::{attribute, FlightRecorder};
 use gms_trace::apps;
-use gms_units::Duration;
 
 fn serial_config(policy: FetchPolicy) -> SimConfig {
     SimConfig::builder()
@@ -28,36 +25,24 @@ fn exemplars_match_engine_fault_log_and_attribute() {
         let mut flight = FlightRecorder::new(4);
         let report = Simulator::new(serial_config(policy))
             .run_recorded(&apps::gdb().scaled(0.1), &mut flight);
-        flight.seal();
-
-        assert_eq!(
-            flight.total_faults(),
-            report.faults.total(),
-            "{label}: every fault observed"
-        );
-        // The recorder's summed wait is exactly the engine's stall
-        // decomposition: sp_latency (initial waits) + page_wait
-        // (follow-on stalls).
-        assert_eq!(
-            flight.total_wait(),
-            report.sp_latency + report.page_wait,
-            "{label}: total wait conserved"
-        );
 
         let exemplars = flight.exemplars();
         assert!(!exemplars.is_empty(), "{label}: runs with faults retain");
         assert!(exemplars.len() <= 4);
         for ex in &exemplars {
-            // Each exemplar's final wait is a real fault-log entry for
-            // the same page — the chain heard about all of its stalls.
-            assert!(
-                report
-                    .fault_log
-                    .iter()
-                    .any(|f| f.at_ref == ex.at_ref && f.wait == ex.wait),
-                "{label}: exemplar (page {}, wait {}) missing from fault log",
-                ex.page,
-                ex.wait
+            // Each exemplar is the fault-log entry taken at the same
+            // time, with the same final wait: the chain heard about
+            // all of its stalls.
+            let f = report
+                .fault_log
+                .iter()
+                .find(|f| f.at == ex.fault_at)
+                .unwrap_or_else(|| panic!("{label}: exemplar at {} not logged", ex.fault_at));
+            assert_eq!(
+                (f.at_ref, f.kind, f.wait),
+                (ex.at_ref, ex.class, ex.wait),
+                "{label}: exemplar (page {}) disagrees with its fault record",
+                ex.page
             );
         }
 
@@ -96,45 +81,20 @@ fn cluster_flight_covers_every_active_node() {
         .cluster_nodes(4)
         .build();
     let app = apps::gdb().scaled(0.1);
-    let mut flight = FlightRecorder::new(3).with_slo(Duration::from_micros(50));
+    let mut flight = FlightRecorder::new(3);
     let report = ClusterSim::new(config).run_recorded(&[app.clone(), app], &mut flight);
-    flight.seal();
 
-    let total: u64 = report.nodes.iter().map(|n| n.faults.total()).sum();
-    assert_eq!(flight.total_faults(), total);
-    let wait: Duration = report
-        .nodes
-        .iter()
-        .map(|n| n.sp_latency + n.page_wait)
-        .sum();
-    assert_eq!(flight.total_wait(), wait);
-
-    // Per-node SLO tallies partition the totals.
-    let tallies: Vec<_> = flight.windows().collect();
-    assert_eq!(
-        tallies.len(),
-        report.nodes.len(),
-        "one tally per active node"
-    );
-    for (i, (node, windows)) in tallies.iter().enumerate() {
-        let n = &report.nodes[i];
-        assert_eq!(node.index() as usize, i);
-        let faults: u64 = windows.iter().map(|w| w.faults).sum();
-        let wait: Duration = windows.iter().map(|w| w.wait).sum();
-        let violations: u64 = windows.iter().map(|w| w.violations).sum();
-        assert_eq!(faults, n.faults.total());
-        assert_eq!(wait, n.sp_latency + n.page_wait);
-        let slow = n
-            .fault_log
-            .iter()
-            .filter(|f| f.wait > Duration::from_micros(50))
-            .count() as u64;
-        assert_eq!(violations, slow, "violations agree with the fault log");
+    // Each node keeps its own reservoir.
+    let exemplars = flight.exemplars();
+    for node in 0..report.nodes.len() as u32 {
+        let kept = exemplars.iter().filter(|e| e.node.index() == node).count();
+        assert!((1..=3).contains(&kept), "node {node} kept {kept}");
     }
-
     // Exemplars from a cluster stream still replay through attribute.
     let attrib = attribute(&flight.exemplar_events()).expect("cluster exemplars attributable");
     assert_eq!(attrib.faults.len(), flight.retained());
-    // And the recorder held O(K) events, far fewer than the run emitted.
+    // And the recorder held O(K) chains, far fewer than the run's faults.
+    let faults: u64 = report.nodes.iter().map(|n| n.faults.total()).sum();
     assert!(flight.retained() <= 3 * report.nodes.len());
+    assert!(flight.dropped() > 0 && (flight.retained() as u64) < faults);
 }

@@ -304,91 +304,6 @@ impl AttributionReport {
     }
 }
 
-/// Aggregated prefetch accounting for adaptive policy engines, tallied
-/// from the `PolicyDecision`/`Prefetch` instant events. Orthogonal to
-/// the conserved latency decomposition: predicted subpages ride
-/// off-critical-path messages, so their cost shows up here as bytes,
-/// not as wait time. All-zero for runs of the static policies, which
-/// emit neither event.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Adaptive plan decisions, total.
-    pub decisions: u64,
-    /// Decisions backed by a confident stride prediction.
-    pub stride: u64,
-    /// Decisions that fell back to the static neighbours-first order.
-    pub fallback: u64,
-    /// Decisions that migrated a hot page whole.
-    pub migrate: u64,
-    /// Decisions that demand-fetched a cold page's subpage alone.
-    pub demand: u64,
-    /// Subpages moved beyond the demanded one (issued predictions).
-    pub predicted_subpages: u64,
-    /// Predicted subpages never touched before their window closed.
-    pub unused_subpages: u64,
-    /// Bytes those unused subpages cost on the wire.
-    pub mispredicted_bytes: u64,
-}
-
-/// Tallies prefetch accounting from a recorded event stream. Streams
-/// from static-policy runs yield the all-zero [`PrefetchStats`].
-#[must_use]
-pub fn prefetch_stats<'a, I>(events: I) -> PrefetchStats
-where
-    I: IntoIterator<Item = &'a Event>,
-{
-    let mut stats = PrefetchStats::default();
-    for e in events {
-        match *e {
-            Event::PolicyDecision { choice, .. } => {
-                stats.decisions += 1;
-                match choice {
-                    crate::event::PolicyChoice::Stride => stats.stride += 1,
-                    crate::event::PolicyChoice::Fallback => stats.fallback += 1,
-                    crate::event::PolicyChoice::Migrate => stats.migrate += 1,
-                    crate::event::PolicyChoice::Demand => stats.demand += 1,
-                }
-            }
-            Event::Prefetch {
-                subpages,
-                sub_bytes,
-                unused,
-                ..
-            } => {
-                let n = u64::from(subpages.count_ones());
-                if unused {
-                    stats.unused_subpages += n;
-                    stats.mispredicted_bytes += n * u64::from(sub_bytes);
-                } else {
-                    stats.predicted_subpages += n;
-                }
-            }
-            _ => {}
-        }
-    }
-    stats
-}
-
-impl PrefetchStats {
-    /// JSON object rendering, embedded by the CLI profile report.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"decisions\":{},\"stride\":{},\"fallback\":{},\"migrate\":{},\
-             \"demand\":{},\"predicted_subpages\":{},\"unused_subpages\":{},\
-             \"mispredicted_bytes\":{}}}",
-            self.decisions,
-            self.stride,
-            self.fallback,
-            self.migrate,
-            self.demand,
-            self.predicted_subpages,
-            self.unused_subpages,
-            self.mispredicted_bytes
-        )
-    }
-}
-
 /// An occupancy captured while a fault window was open.
 #[derive(Debug, Clone, Copy)]
 struct Occ {
@@ -979,55 +894,6 @@ mod tests {
             *wait = Duration::from_nanos(999);
         }
         assert!(attribute(&events).is_err());
-    }
-
-    #[test]
-    fn prefetch_stats_tally_decisions_and_bytes() {
-        use crate::event::PolicyChoice;
-        let events = vec![
-            Event::PolicyDecision {
-                node: NodeId::new(0),
-                page: 7,
-                choice: PolicyChoice::Stride,
-                delta: 2,
-                at: t(0),
-            },
-            Event::Prefetch {
-                node: NodeId::new(0),
-                page: 7,
-                subpages: 0b0101_0100,
-                sub_bytes: 1024,
-                unused: false,
-                at: t(0),
-            },
-            Event::PolicyDecision {
-                node: NodeId::new(0),
-                page: 9,
-                choice: PolicyChoice::Demand,
-                delta: 0,
-                at: t(10),
-            },
-            Event::Prefetch {
-                node: NodeId::new(0),
-                page: 7,
-                subpages: 0b0100_0000,
-                sub_bytes: 1024,
-                unused: true,
-                at: t(20),
-            },
-        ];
-        let stats = prefetch_stats(&events);
-        assert_eq!(stats.decisions, 2);
-        assert_eq!(stats.stride, 1);
-        assert_eq!(stats.demand, 1);
-        assert_eq!(stats.predicted_subpages, 3);
-        assert_eq!(stats.unused_subpages, 1);
-        assert_eq!(stats.mispredicted_bytes, 1024);
-        // Streams with neither event yield the zero default.
-        assert_eq!(prefetch_stats(&clean_fetch()), PrefetchStats::default());
-        let json = stats.to_json();
-        let doc = crate::json::JsonValue::parse(&json).expect("valid JSON");
-        assert_eq!(doc.get("mispredicted_bytes").unwrap().as_u64(), Some(1024));
     }
 
     #[test]

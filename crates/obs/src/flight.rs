@@ -31,10 +31,12 @@
 //!   lands stays evicted: the reservoir ranks by wait-at-restart plus
 //!   whatever stalls arrive while the chain is still a candidate — a
 //!   deterministic approximation documented here rather than hidden.)
-//! * Independently of retention, the recorder tallies *every* fault
-//!   into per-node, per-window SLO accounts (fault count, violation
-//!   count against a configured threshold, total wait), so attainment
-//!   reporting does not depend on which chains survived.
+//!
+//! The recorder keeps no totals over every fault: the run report's
+//! fault log already holds each fault's final wait, and the SLO tallies
+//! per node and window are folded from it (`ClusterReport::slo_windows`
+//! in gms-core). So only retained chains' pages are tracked, and a page
+//! whose latest fault was dropped or evicted attracts no follow-ons.
 //!
 //! Dropped candidates recycle their event buffers through a free pool,
 //! so steady-state recording allocates only when a chain is retained.
@@ -44,26 +46,10 @@ use gms_units::{Duration, FastMap, NodeId, SimTime};
 use crate::event::{Event, FaultClass};
 use crate::recorder::Recorder;
 
-/// Probed on every arrival and stall — the hot path of an always-on
-/// recorder — so keyed through the workspace's fast hasher.
-type OwnerMap = FastMap<(u32, u64), Owner>;
-
-/// Per-node, per-window SLO accounting over *all* faults (not just the
-/// retained exemplars).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowTally {
-    /// The window index (`fault time / window length`; 0 when no
-    /// window is configured).
-    pub window: u64,
-    /// Faults whose window this is.
-    pub faults: u64,
-    /// Faults whose final wait (restart wait plus later stalls)
-    /// exceeded the configured SLO threshold. Zero when no threshold
-    /// is configured.
-    pub violations: u64,
-    /// Total wait of the window's faults.
-    pub wait: Duration,
-}
+/// A retained chain's slab index by its `(node, page)`. Probed on
+/// every arrival and stall the bloom filter lets through, so keyed
+/// through the workspace's fast hasher.
+type OwnerMap = FastMap<(u32, u64), u32>;
 
 /// One retained worst-fault exemplar: identity, final wait, and the
 /// complete event chain (fault window, then follow-on arrivals and
@@ -118,18 +104,6 @@ struct CurMeta {
     at: SimTime,
 }
 
-/// The last closed fault on a `(node, page)`: the target for follow-on
-/// arrivals and stalls. `window` and `wait` let a late stall adjust the
-/// fault's already-folded SLO account in place (wait tally, and the
-/// violation count when the stall pushes the wait across the
-/// threshold); `chain` is its slab index if it was retained.
-#[derive(Debug, Clone, Copy)]
-struct Owner {
-    window: u64,
-    wait: Duration,
-    chain: Option<u32>,
-}
-
 #[derive(Debug, Clone, Default)]
 struct NodeState {
     /// Window the reservoir slots belong to.
@@ -146,11 +120,9 @@ struct NodeState {
     /// One bit per `page % 64` over every page this node ever retained
     /// a chain for (never cleared within a run: evictions would need a
     /// rebuild across windows, and a stale bit only costs a map probe).
-    /// Arrivals test it to skip the owner-map probe when no retained
-    /// chain can possibly match.
+    /// Arrivals and stalls test it to skip the owner-map probe when no
+    /// retained chain can possibly match.
     page_bloom: u64,
-    /// Closed per-window tallies, ascending by window.
-    tallies: Vec<WindowTally>,
 }
 
 /// The bloom bit for a page id (pages cluster in low bits; fold some
@@ -161,13 +133,12 @@ fn bloom_bit(page: u64) -> u64 {
 }
 
 /// A bounded [`Recorder`] retaining complete event chains only for the
-/// worst-K faults per node per window, plus SLO tallies over all
-/// faults. See the module docs for the retention contract.
+/// worst-K faults per node per window. See the module docs for the
+/// retention contract.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     keep: usize,
     window_ns: Option<u64>,
-    slo: Option<Duration>,
     seq: u64,
     cur: Option<CurMeta>,
     cur_events: Vec<Event>,
@@ -175,22 +146,18 @@ pub struct FlightRecorder {
     free_events: Vec<Vec<Event>>,
     nodes: Vec<NodeState>,
     owner: OwnerMap,
-    total_faults: u64,
-    total_wait: Duration,
     dropped: u64,
-    sealed: bool,
 }
 
 impl FlightRecorder {
     /// A recorder keeping the `keep` worst chains per node per window
-    /// (`keep` is clamped to at least 1). No window and no SLO
-    /// threshold are configured by default.
+    /// (`keep` is clamped to at least 1). No window is configured by
+    /// default.
     #[must_use]
     pub fn new(keep: usize) -> Self {
         Self {
             keep: keep.max(1),
             window_ns: None,
-            slo: None,
             seq: 0,
             cur: None,
             cur_events: Vec::new(),
@@ -198,15 +165,12 @@ impl FlightRecorder {
             free_events: Vec::new(),
             nodes: Vec::new(),
             owner: OwnerMap::default(),
-            total_faults: 0,
-            total_wait: Duration::ZERO,
             dropped: 0,
-            sealed: false,
         }
     }
 
     /// Partition the run into fixed windows of `window` sim-time; the
-    /// reservoir and the SLO tallies are kept per window.
+    /// reservoir is kept per window.
     ///
     /// # Panics
     ///
@@ -218,24 +182,10 @@ impl FlightRecorder {
         self
     }
 
-    /// Count faults whose final wait exceeds `slo` as violations in
-    /// the per-window tallies.
-    #[must_use]
-    pub fn with_slo(mut self, slo: Duration) -> Self {
-        self.slo = Some(slo);
-        self
-    }
-
     /// The per-node, per-window retention bound K.
     #[must_use]
     pub fn keep(&self) -> usize {
         self.keep
-    }
-
-    /// The configured SLO threshold, if any.
-    #[must_use]
-    pub fn slo(&self) -> Option<Duration> {
-        self.slo
     }
 
     /// The configured window length, if any.
@@ -255,31 +205,6 @@ impl FlightRecorder {
             self.nodes.resize_with(n + 1, NodeState::default);
         }
         &mut self.nodes[n]
-    }
-
-    /// The tally slot for `(node, window)`. Tallies are pushed in
-    /// ascending window order (node clocks are monotone), so the latest
-    /// is checked first; the binary search handles late finalizations
-    /// landing in older windows.
-    fn tally_mut(&mut self, node: u32, window: u64) -> &mut WindowTally {
-        let ns = self.node_state(node);
-        let pos = match ns.tallies.last() {
-            Some(last) if last.window == window => ns.tallies.len() - 1,
-            _ => match ns.tallies.binary_search_by_key(&window, |t| t.window) {
-                Ok(pos) => pos,
-                Err(pos) => {
-                    ns.tallies.insert(
-                        pos,
-                        WindowTally {
-                            window,
-                            ..WindowTally::default()
-                        },
-                    );
-                    pos
-                }
-            },
-        };
-        &mut ns.tallies[pos]
     }
 
     /// A fresh (cleared) event buffer, reusing the free pool.
@@ -320,20 +245,8 @@ impl FlightRecorder {
         let m = self.cur.take().expect("close without an open fault");
         self.seq += 1;
         let seq = self.seq;
-        self.total_faults += 1;
-        // Fold the fault into the SLO accounts now; a later stall
-        // adjusts the account through the owner entry rather than
-        // deferring the whole fold to displacement or seal.
-        self.total_wait += restart_wait;
         let node = m.node.index();
         let w = self.window_of(m.at);
-        let over = self.slo.is_some_and(|slo| restart_wait > slo);
-        let tally = self.tally_mut(node, w);
-        tally.faults += 1;
-        tally.wait += restart_wait;
-        if over {
-            tally.violations += 1;
-        }
 
         // Reservoir decision: is this chain one of the window's worst?
         let ns = self.node_state(node);
@@ -350,14 +263,9 @@ impl FlightRecorder {
         if !self.admits(node, w, restart_wait) {
             self.dropped += 1;
             self.cur_events.clear();
-            self.owner.insert(
-                (node, m.page),
-                Owner {
-                    window: w,
-                    wait: restart_wait,
-                    chain: None,
-                },
-            );
+            // An older chain on this page must not collect this fault's
+            // follow-ons.
+            self.owner.remove(&(node, m.page));
             return;
         }
         let evict = full.then(|| {
@@ -400,8 +308,13 @@ impl FlightRecorder {
         });
         match evict {
             Some((pos, old)) => {
-                self.chains[old].alive = false;
-                let recycled = std::mem::take(&mut self.chains[old].events);
+                let evicted = &mut self.chains[old];
+                evicted.alive = false;
+                let recycled = std::mem::take(&mut evicted.events);
+                let key = (node, evicted.page);
+                if self.owner.get(&key).is_some_and(|&ci| ci as usize == old) {
+                    self.owner.remove(&key);
+                }
                 self.free_events.push(recycled);
                 self.nodes[node as usize].slots[pos] = idx;
             }
@@ -412,51 +325,8 @@ impl FlightRecorder {
         ns.page_bloom |= bloom_bit(m.page);
         self.owner.insert(
             (node, m.page),
-            Owner {
-                window: w,
-                wait: restart_wait,
-                chain: Some(u32::try_from(idx).expect("chain count fits u32")),
-            },
+            u32::try_from(idx).expect("chain count fits u32"),
         );
-    }
-
-    /// Mark recording done, allowing tallies and run totals to be read;
-    /// recording after sealing is a logic error. Idempotent. (The SLO
-    /// accounts are maintained incrementally — at fault close, adjusted
-    /// by stalls — so sealing only closes the stream: it discards a
-    /// fault left open mid-window, whose chain never became a
-    /// candidate.)
-    pub fn seal(&mut self) {
-        if self.sealed {
-            return;
-        }
-        self.sealed = true;
-        self.cur = None;
-        self.cur_events.clear();
-    }
-
-    /// Faults observed, retained or not.
-    #[must_use]
-    pub fn total_faults(&self) -> u64 {
-        self.total_faults
-    }
-
-    /// Sum of every fault's final wait (restart wait plus stalls) —
-    /// equals the engine's `sp_latency + page_wait` for the recorded
-    /// run, which the explain path cross-checks. Requires [`seal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder is not sealed.
-    ///
-    /// [`seal`]: FlightRecorder::seal
-    #[must_use]
-    pub fn total_wait(&self) -> Duration {
-        assert!(
-            self.sealed,
-            "seal() the flight recorder before reading totals"
-        );
-        self.total_wait
     }
 
     /// Candidates dropped by the reservoir (their events discarded).
@@ -522,26 +392,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Per-node SLO tallies, ascending by window, skipping nodes that
-    /// never faulted. Requires [`seal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder is not sealed.
-    ///
-    /// [`seal`]: FlightRecorder::seal
-    pub fn windows(&self) -> impl Iterator<Item = (NodeId, &[WindowTally])> + '_ {
-        assert!(
-            self.sealed,
-            "seal() the flight recorder before reading tallies"
-        );
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, ns)| !ns.tallies.is_empty())
-            .map(|(n, ns)| (NodeId::new(n as u32), ns.tallies.as_slice()))
-    }
-
     /// Forget everything but keep the allocated buffers (chains slab,
     /// free pool), so a recorder reused across runs reaches a steady
     /// state where only chain retention allocates.
@@ -559,10 +409,7 @@ impl FlightRecorder {
         self.chains.clear();
         self.nodes.clear();
         self.owner.clear();
-        self.total_faults = 0;
-        self.total_wait = Duration::ZERO;
         self.dropped = 0;
-        self.sealed = false;
     }
 }
 
@@ -589,65 +436,54 @@ impl FlightRecorder {
         }
     }
 
+    /// Whether `(node, page)` may own a retained chain. The bloom rules
+    /// most follow-on events out with two loads, without even paying
+    /// the outlined call.
+    #[inline(always)]
+    fn may_own(&self, node: NodeId, page: u64) -> bool {
+        self.nodes
+            .get(node.index() as usize)
+            .is_some_and(|ns| ns.page_bloom & bloom_bit(page) != 0)
+    }
+
     /// `Arrival`: attach to the retained chain of the last fault on
-    /// this `(node, page)`, if it survived. The dispatcher's bloom gate
-    /// has already ruled out nodes with no retained chain for the page.
+    /// this `(node, page)`, if it survived.
     #[inline(never)]
     fn on_arrival(&mut self, node: NodeId, page: u64, msg: u8, at: SimTime, subpages: u64) {
-        if let Some(o) = self.owner.get(&(node.index(), page)) {
-            if let Some(ci) = o.chain {
-                let c = &mut self.chains[ci as usize];
-                if c.alive {
-                    c.events.push(Event::Arrival {
-                        node,
-                        page,
-                        msg,
-                        at,
-                        subpages,
-                    });
-                    c.arrivals += 1;
-                }
-            }
+        if let Some(&ci) = self.owner.get(&(node.index(), page)) {
+            let c = &mut self.chains[ci as usize];
+            c.events.push(Event::Arrival {
+                node,
+                page,
+                msg,
+                at,
+                subpages,
+            });
+            c.arrivals += 1;
         }
     }
 
-    /// `Stall`: bump the owning fault's final wait (SLO accounting over
-    /// all faults), and the retained chain's, if any.
+    /// `Stall`: extend the wait of the retained chain of the last fault
+    /// on this `(node, page)`, if it survived.
     #[inline(never)]
     fn on_stall(&mut self, node: NodeId, page: u64, start: SimTime, end: SimTime) {
-        let d = end.elapsed_since(start);
-        let Some(o) = self.owner.get_mut(&(node.index(), page)) else {
+        let Some(&ci) = self.owner.get(&(node.index(), page)) else {
             return;
         };
-        let was = o.wait;
-        o.wait += d;
-        let (owner_node, window, chain) = (node.index(), o.window, o.chain);
-        // Adjust the owning fault's already-folded SLO account: the
-        // stall extends its wait, and counts as a (new) violation only
-        // when it pushes the wait across the threshold.
-        self.total_wait += d;
-        let crossed = self.slo.is_some_and(|slo| was <= slo && was + d > slo);
-        let tally = self.tally_mut(owner_node, window);
-        tally.wait += d;
-        if crossed {
-            tally.violations += 1;
-        }
-        if let Some(ci) = chain {
-            let c = &mut self.chains[ci as usize];
-            // Only chains that emitted arrivals can anchor a stall
-            // in the attribution walk.
-            if c.alive && c.arrivals > 0 {
-                c.events.push(Event::Stall {
-                    node,
-                    page,
-                    start,
-                    end,
-                });
-                c.wait += d;
-                // The retained chain's wait grew, so the cached
-                // weakest slot of its node may be stale.
-                self.nodes[owner_node as usize].weakest = None;
-            }
+        let c = &mut self.chains[ci as usize];
+        // Only chains that emitted arrivals can anchor a stall in the
+        // attribution walk.
+        if c.arrivals > 0 {
+            c.events.push(Event::Stall {
+                node,
+                page,
+                start,
+                end,
+            });
+            c.wait += end.elapsed_since(start);
+            // The retained chain's wait grew, so the cached weakest
+            // slot of its node may be stale.
+            self.nodes[node.index() as usize].weakest = None;
         }
     }
 }
@@ -685,6 +521,7 @@ impl Recorder for FlightRecorder {
                 at,
                 wait,
             } => self.on_restart(node, page, at, wait),
+            // Follow-ons only ever attach to a retained chain.
             Event::Arrival {
                 node,
                 page,
@@ -692,14 +529,8 @@ impl Recorder for FlightRecorder {
                 at,
                 subpages,
             } => {
-                // Arrivals only ever attach to a retained chain; the
-                // bloom rules most of them out with two loads, without
-                // even paying the outlined call.
-                match self.nodes.get(node.index() as usize) {
-                    Some(ns) if ns.page_bloom & bloom_bit(page) != 0 => {
-                        self.on_arrival(node, page, msg, at, subpages);
-                    }
-                    _ => {}
+                if self.may_own(node, page) {
+                    self.on_arrival(node, page, msg, at, subpages);
                 }
             }
             Event::Stall {
@@ -707,7 +538,11 @@ impl Recorder for FlightRecorder {
                 page,
                 start,
                 end,
-            } => self.on_stall(node, page, start, end),
+            } => {
+                if self.may_own(node, page) {
+                    self.on_stall(node, page, start, end);
+                }
+            }
             // Everything else (occupancies, getpage, reliability
             // markers, …) belongs to the open fault window, if any;
             // outside a window it is background work the flight
@@ -805,8 +640,6 @@ mod tests {
             feed(&mut rec, fetch(0, i as u64, clock, w));
             clock += w + 10;
         }
-        rec.seal();
-        assert_eq!(rec.total_faults(), 5);
         assert_eq!(rec.retained(), 2);
         // 100 was dropped at close; 500 and 4000 were retained then
         // evicted by better candidates (not counted as drops).
@@ -814,10 +647,6 @@ mod tests {
         let ex = rec.exemplars();
         let waits: Vec<u64> = ex.iter().map(|e| e.wait.as_nanos()).collect();
         assert_eq!(waits, [9_000, 7_000], "worst first");
-        assert_eq!(
-            rec.total_wait(),
-            Duration::from_nanos(500 + 9_000 + 100 + 4_000 + 7_000)
-        );
     }
 
     #[test]
@@ -825,7 +654,6 @@ mod tests {
         let mut rec = FlightRecorder::new(1);
         feed(&mut rec, fetch(0, 1, 0, 1_000));
         feed(&mut rec, fetch(0, 2, 2_000, 1_000));
-        rec.seal();
         let ex = rec.exemplars();
         assert_eq!(ex.len(), 1);
         assert_eq!(ex[0].page, 1, "tie keeps the earlier incumbent");
@@ -869,7 +697,6 @@ mod tests {
         feed(&mut rec, fetch(0, 1, 0, 900)); // window 0
         feed(&mut rec, fetch(0, 2, 1_000, 400)); // window 0, weaker: dropped
         feed(&mut rec, fetch(0, 3, 12_000, 200)); // window 1
-        rec.seal();
         let pages: Vec<u64> = rec.exemplars().iter().map(|e| e.page).collect();
         assert_eq!(rec.retained(), 2);
         assert!(pages.contains(&1) && pages.contains(&3), "{pages:?}");
@@ -881,7 +708,6 @@ mod tests {
         feed(&mut rec, fetch(0, 1, 0, 5_000));
         feed(&mut rec, fetch(1, 1, 100, 50));
         feed(&mut rec, fetch(1, 2, 6_000, 80));
-        rec.seal();
         let ex = rec.exemplars();
         assert_eq!(ex.len(), 2);
         assert_eq!((ex[0].node.index(), ex[0].page), (0, 1));
@@ -896,7 +722,6 @@ mod tests {
             feed(&mut rec, fetch(0, page, clock, wait));
             clock += wait + 100;
         }
-        rec.seal();
         let stream = rec.exemplar_events();
         let report = attribute(&stream).expect("exemplar stream is attributable");
         assert_eq!(report.faults.len(), 2);
@@ -928,7 +753,6 @@ mod tests {
             start: t(1_200),
             end: t(1_500),
         });
-        rec.seal();
         let ex = rec.exemplars();
         assert_eq!(ex.len(), 1);
         assert_eq!(ex[0].wait, Duration::from_nanos(1_300), "restart + stall");
@@ -936,27 +760,35 @@ mod tests {
         let report = attribute(&rec.exemplar_events()).expect("attributable");
         assert_eq!(report.faults.len(), 1);
         assert_eq!(report.faults[0].total_wait(), Duration::from_nanos(1_300));
-        assert_eq!(rec.total_wait(), Duration::from_nanos(1_300));
     }
 
+    /// A dropped fault on a page with an older retained chain detaches
+    /// the page: the older chain never collects the newer fault's
+    /// follow-ons.
     #[test]
-    fn slo_tallies_cover_all_faults() {
-        let mut rec = FlightRecorder::new(1)
-            .with_slo(Duration::from_nanos(1_000))
-            .with_window(Duration::from_nanos(100_000));
-        feed(&mut rec, fetch(0, 1, 0, 500));
-        feed(&mut rec, fetch(0, 2, 1_000, 2_000)); // violation
-        feed(&mut rec, fetch(0, 3, 5_000, 3_000)); // violation
-        feed(&mut rec, fetch(0, 4, 150_000, 800)); // window 1, attained
-        rec.seal();
-        let tallies: Vec<(NodeId, &[WindowTally])> = rec.windows().collect();
-        assert_eq!(tallies.len(), 1);
-        let (node, windows) = tallies[0];
-        assert_eq!(node.index(), 0);
-        assert_eq!(windows.len(), 2);
-        assert_eq!((windows[0].faults, windows[0].violations), (3, 2));
-        assert_eq!((windows[1].faults, windows[1].violations), (1, 0));
-        assert_eq!(windows[0].wait, Duration::from_nanos(500 + 2_000 + 3_000));
+    fn a_dropped_fault_detaches_its_page() {
+        let node = NodeId::new(0);
+        let mut rec = FlightRecorder::new(1);
+        feed(&mut rec, fetch(0, 7, 0, 5_000));
+        feed(&mut rec, fetch(0, 7, 6_000, 100));
+        assert_eq!(rec.dropped(), 1);
+        rec.record(Event::Arrival {
+            node,
+            page: 7,
+            msg: 0,
+            at: t(6_200),
+            subpages: 0b10,
+        });
+        rec.record(Event::Stall {
+            node,
+            page: 7,
+            start: t(6_100),
+            end: t(6_200),
+        });
+        let ex = rec.exemplars();
+        assert_eq!(ex.len(), 1);
+        assert_eq!(ex[0].wait, Duration::from_nanos(5_000));
+        assert_eq!(ex[0].events.len(), 3, "fault, occupancy, restart");
     }
 
     #[test]
@@ -968,7 +800,6 @@ mod tests {
             feed(&mut rec, fetch(0, i, clock, 100 + i));
             clock += 1_000 + i;
         }
-        rec.seal();
         assert_eq!(rec.retained(), 3);
         assert_eq!(rec.retained_events(), 9, "3 chains x 3 events");
         let waits: Vec<u64> = rec.exemplars().iter().map(|e| e.wait.as_nanos()).collect();
@@ -978,17 +809,14 @@ mod tests {
 
     #[test]
     fn clear_resets_for_reuse() {
-        let mut rec = FlightRecorder::new(2).with_slo(Duration::from_nanos(1));
+        let mut rec = FlightRecorder::new(1);
         feed(&mut rec, fetch(0, 1, 0, 5_000));
-        rec.seal();
-        assert_eq!(rec.retained(), 1);
+        feed(&mut rec, fetch(0, 2, 6_000, 100));
+        assert_eq!((rec.retained(), rec.dropped()), (1, 1));
         rec.clear();
-        assert_eq!(rec.total_faults(), 0);
-        assert_eq!(rec.retained(), 0);
+        assert_eq!((rec.retained(), rec.dropped()), (0, 0));
         feed(&mut rec, fetch(0, 2, 0, 700));
-        rec.seal();
-        assert_eq!(rec.total_faults(), 1);
         assert_eq!(rec.exemplars()[0].page, 2);
-        assert_eq!(rec.total_wait(), Duration::from_nanos(700));
+        assert_eq!(rec.exemplars()[0].wait, Duration::from_nanos(700));
     }
 }

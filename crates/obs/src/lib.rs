@@ -20,8 +20,10 @@
 //! * [`FlightRecorder`] — a bounded [`Recorder`] for always-on tail
 //!   forensics: it retains the *complete* event chain only for the
 //!   worst-K faults per node per window (a reservoir keyed by page
-//!   wait), plus per-window SLO tallies over every fault, in O(K)
-//!   memory instead of O(total events).
+//!   wait), in O(K) memory instead of O(total events). Totals over
+//!   every fault (SLO attainment, prefetch accounting) are the run
+//!   report's, not a recorder's: recorders keep what a report cannot
+//!   hold — event chains, spatial breakdowns and time series.
 //! * [`QuantileSketch`] — a sparse, mergeable DDSketch-style quantile
 //!   sketch with a proven two-sided 1/256 relative error bound and
 //!   exactly commutative/associative merges: every page-wait
@@ -82,12 +84,12 @@ mod sketch;
 mod timeseries;
 
 pub use attrib::{
-    attribute, attribution_json, prefetch_stats, AttributionReport, ComponentRow, FaultAttribution,
-    Hop, OffPathUsage, PrefetchStats, ATTRIB_SCHEMA,
+    attribute, attribution_json, AttributionReport, ComponentRow, FaultAttribution, Hop,
+    OffPathUsage, ATTRIB_SCHEMA,
 };
 pub use counters::CounterRegistry;
 pub use event::{Event, FaultClass, PolicyChoice};
-pub use flight::{Exemplar, FlightRecorder, WindowTally};
+pub use flight::{Exemplar, FlightRecorder};
 pub use heat::{heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA};
 pub use json::{escape_json, JsonValue, MAX_JSON_DEPTH};
 pub use perfetto::{perfetto_trace, APP_TRACK};

@@ -90,7 +90,8 @@ proptest! {
         let attrib = attribute(rec.iter()).expect("serial stream attributes");
         prop_assert_eq!(attrib.faults.len(), report.fault_log.len());
         for (a, r) in attrib.faults.iter().zip(&report.fault_log) {
-            prop_assert_eq!(a.total_wait(), r.wait, "page {}", r.page);
+            prop_assert_eq!(a.total_wait(), r.wait, "page {}", a.page);
+            prop_assert_eq!(a.fault_at, r.at, "page {}", a.page);
         }
         prop_assert_eq!(attrib.total_wait(), report.sp_latency + report.page_wait);
 
