@@ -1,12 +1,29 @@
 //! `gms-sim`: the command-line front end.
 
-fn main() {
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match gms_cli::execute(&argv) {
-        Ok(output) => print!("{output}"),
+    let output = match gms_cli::execute(&argv) {
+        Ok(output) => output,
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(2);
+            return ExitCode::from(2);
+        }
+    };
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(output.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        // A reader that stops early (`| head`) ends the output; that is
+        // not a failure of the command.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write the output: {e}");
+            ExitCode::FAILURE
         }
     }
 }

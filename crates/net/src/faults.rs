@@ -94,6 +94,21 @@ impl FaultPlan {
             .product()
     }
 
+    /// Checks that every node the plan crashes, recovers or degrades is
+    /// in a cluster of `nodes` nodes.
+    ///
+    /// # Errors
+    ///
+    /// Names the first node outside the cluster, and the cluster size.
+    pub fn check_nodes(&self, nodes: u32) -> Result<(), String> {
+        let crashed = self.crashes.iter().map(|e| e.node);
+        let mut named = crashed.chain(self.degrades.iter().map(|w| w.node));
+        match named.find(|node| node.index() >= nodes) {
+            Some(node) => Err(format!("{node} is outside the {nodes}-node cluster")),
+            None => Ok(()),
+        }
+    }
+
     /// Parses a compact spec string, e.g.
     /// `loss=0.01,seed=7,crash=n2@40ms,recover=n2@60ms,degrade=n1@5ms..20msx4`.
     ///
@@ -327,6 +342,20 @@ mod tests {
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_nanos(n * 1_000_000)
+    }
+
+    #[test]
+    fn check_nodes_names_the_first_node_outside() {
+        let plan = FaultPlan::parse("crash=n2@1ms,degrade=n5@0ms..1msx2", None).unwrap();
+        assert_eq!(plan.check_nodes(6), Ok(()));
+        assert_eq!(
+            plan.check_nodes(5),
+            Err("node5 is outside the 5-node cluster".to_owned())
+        );
+        assert_eq!(
+            plan.check_nodes(2),
+            Err("node2 is outside the 2-node cluster".to_owned())
+        );
     }
 
     #[test]
