@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -1895,10 +1896,12 @@ fn parse_tolerance(args: &mut Args, default: f64) -> Result<f64, CliError> {
 /// non-numeric leaves.
 fn flatten_cells(doc: &JsonValue) -> BTreeMap<String, f64> {
     fn walk(v: &JsonValue, path: &str, out: &mut BTreeMap<String, f64>) {
-        if let Some(obj) = v.as_object() {
-            for (k, val) in obj {
+        if let Some(members) = v.as_object() {
+            // A repeated key's last member wins, as `JsonValue::get` reads it.
+            let last: BTreeMap<&str, &JsonValue> = members.iter().map(|(k, v)| (&**k, v)).collect();
+            for (k, val) in last {
                 let p = if path.is_empty() {
-                    k.clone()
+                    k.to_owned()
                 } else {
                     format!("{path}.{k}")
                 };
@@ -2011,7 +2014,10 @@ fn diff_command(
     full: bool,
     gates: &CellGates<'_>,
 ) -> Result<String, CliError> {
-    let (doc_a, doc_b) = (load_json(a)?, load_json(b)?);
+    let text_a = read_json(a)?;
+    let doc_a = parse_json(a, &text_a)?;
+    let text_b = read_json(b)?;
+    let doc_b = parse_json(b, &text_b)?;
     let (cells_a, cells_b) = if full {
         (trace_cells(&doc_a)?, trace_cells(&doc_b)?)
     } else {
@@ -2102,11 +2108,14 @@ fn diff_command(
     }
 }
 
-/// Reads and parses a JSON document.
-fn load_json(path: &Path) -> Result<JsonValue, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
-    JsonValue::parse(&text).map_err(|e| err(format!("{}: invalid JSON: {e}", path.display())))
+/// Reads the text of a JSON document, for [`parse_json`] to borrow.
+fn read_json(path: &Path) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {}: {e}", path.display())))
+}
+
+/// Parses the text [`read_json`] read from `path`.
+fn parse_json<'a>(path: &Path, text: &'a str) -> Result<JsonValue<'a>, CliError> {
+    JsonValue::parse(text).map_err(|e| err(format!("{}: invalid JSON: {e}", path.display())))
 }
 
 /// Every instant-event kind the simulator emits. `check-trace` rejects
@@ -2163,16 +2172,23 @@ fn check_trace_command(mut args: Args) -> Result<String, CliError> {
         ));
     }
     let mut out = String::new();
+    // The heat validator, later in `VALIDATORS`, reads the parsed
+    // summary, so the summary's text outlives its iteration.
+    let summary_text = OnceCell::new();
     let mut summary = None;
     for (&(_, name, validate), path) in VALIDATORS.iter().zip(&paths) {
         let Some(path) = path else { continue };
-        let doc = load_json(path)?;
-        let detail = validate(&doc, summary.as_ref())
-            .map_err(|e| err(format!("{}: {e}", path.display())))?;
-        let _ = writeln!(out, "{name} OK: {} ({detail})", path.display());
-        if name == "summary" {
+        let text = read_json(path)?;
+        let checked = if name == "summary" {
+            let doc = parse_json(path, summary_text.get_or_init(|| text))?;
+            let checked = validate(&doc, None);
             summary = Some(doc);
-        }
+            checked
+        } else {
+            validate(&parse_json(path, &text)?, summary.as_ref())
+        };
+        let detail = checked.map_err(|e| err(format!("{}: {e}", path.display())))?;
+        let _ = writeln!(out, "{name} OK: {} ({detail})", path.display());
     }
     Ok(out)
 }
@@ -2180,11 +2196,11 @@ fn check_trace_command(mut args: Args) -> Result<String, CliError> {
 /// A required field of a checked document: `v[key]` converted by
 /// `as_`, or an error naming it as `<what>.<key>` (just `<key>` at the
 /// document's top level, where `what` is empty).
-fn field<'a, T>(
-    v: &'a JsonValue,
+fn field<'a, 'j, T>(
+    v: &'a JsonValue<'j>,
     what: &str,
     key: &str,
-    as_: fn(&'a JsonValue) -> Option<T>,
+    as_: fn(&'a JsonValue<'j>) -> Option<T>,
 ) -> Result<T, String> {
     v.get(key).and_then(as_).ok_or_else(|| {
         let dot = if what.is_empty() { "" } else { "." };
@@ -2214,6 +2230,7 @@ fn check_schema(doc: &JsonValue, accepted: &[&str]) -> Result<(), String> {
 /// allowlisted instant kinds.
 fn check_trace_events(doc: &JsonValue, _: Option<&JsonValue>) -> Result<String, String> {
     let events = field(doc, "", "traceEvents", JsonValue::as_array)?;
+    let mut spans = 0;
     for (i, e) in events.iter().enumerate() {
         let ph = e.get("ph").and_then(JsonValue::as_str);
         if !matches!(ph, Some("X" | "i" | "M")) {
@@ -2228,11 +2245,8 @@ fn check_trace_events(doc: &JsonValue, _: Option<&JsonValue>) -> Result<String, 
                 return Err(format!("event {i} has unknown instant kind {name:?}"));
             }
         }
+        spans += usize::from(ph == Some("X"));
     }
-    let spans = events
-        .iter()
-        .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
-        .count();
     Ok(format!("{} events, {spans} spans", events.len()))
 }
 
@@ -3467,6 +3481,18 @@ mod tests {
         let bad = temp_path("bad.json");
         std::fs::write(&bad, "{not json").unwrap();
         assert!(execute(&argv(&format!("check-trace --trace {}", bad.display()))).is_err());
+        // Files are read, parsed and checked one at a time in flag order,
+        // so the trace's error comes before the missing summary's.
+        let e = execute(&argv(&format!(
+            "check-trace --trace {} --summary /nonexistent/x.json",
+            bad.display()
+        )))
+        .unwrap_err()
+        .to_string();
+        assert!(
+            e.starts_with(&format!("{}: invalid JSON", bad.display())),
+            "{e}"
+        );
         std::fs::write(&bad, r#"{"schema":"other/v9"}"#).unwrap();
         assert!(execute(&argv(&format!("check-trace --summary {}", bad.display()))).is_err());
         let _ = std::fs::remove_file(&bad);
@@ -3580,12 +3606,8 @@ mod tests {
                 .and_then(|rest| rest.strip_suffix('}'))
                 .unwrap_or_else(|| panic!("{kind}: {scored_text}"));
             let slo = JsonValue::parse(slo).unwrap();
-            let keys: Vec<&str> = slo
-                .as_object()
-                .unwrap()
-                .keys()
-                .map(String::as_str)
-                .collect();
+            let mut keys: Vec<&str> = slo.as_object().unwrap().iter().map(|(k, _)| &**k).collect();
+            keys.sort_unstable();
             assert_eq!(keys, ["attainment", "faults", "threshold_ns", "under"]);
             assert_eq!(slo.get("threshold_ns").unwrap().as_u64(), Some(1_000_000));
             for path in [&plain, &scored] {

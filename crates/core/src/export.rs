@@ -324,7 +324,8 @@ mod tests {
         let mut cfg = config();
         cfg.fault_plan = Some(plan);
         let report = Simulator::new(cfg).run(&gms_trace::apps::gdb().scaled(0.1));
-        let doc = JsonValue::parse(&run_summary_json(&report)).expect("valid JSON");
+        let json = run_summary_json(&report);
+        let doc = JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(SUMMARY_SCHEMA));
         let rel = doc.get("reliability").expect("reliability object");
         assert_eq!(rel.get("retries").unwrap().as_u64(), Some(report.retries));
@@ -332,7 +333,8 @@ mod tests {
         assert!(report.retries > 0, "2% loss must retry");
         // A fault-free run zeroes the whole section.
         let clean = Simulator::new(config()).run(&gms_trace::apps::gdb().scaled(0.1));
-        let doc = JsonValue::parse(&run_summary_json(&clean)).expect("valid JSON");
+        let json = run_summary_json(&clean);
+        let doc = JsonValue::parse(&json).expect("valid JSON");
         let rel = doc.get("reliability").expect("reliability object");
         for key in [
             "timeouts",
@@ -346,13 +348,14 @@ mod tests {
         }
     }
 
-    /// The keys of each object of a summary, recursively (sorted).
+    /// The keys of each object of a summary, recursively (in document
+    /// order).
     fn keys(doc: &JsonValue) -> Vec<String> {
         let mut out = Vec::new();
-        if let Some(map) = doc.as_object() {
-            for (k, v) in map {
+        if let Some(members) = doc.as_object() {
+            for (k, v) in members {
                 if k != "buckets" {
-                    out.push(k.clone());
+                    out.push(k.to_string());
                     out.extend(keys(v).into_iter().map(|sub| format!("{k}.{sub}")));
                 }
             }
@@ -376,8 +379,8 @@ mod tests {
         };
         let plain = cluster(FetchPolicy::eager(SubpageSize::S1K), 1);
         let adaptive = cluster(FetchPolicy::leap(SubpageSize::S1K), 2);
-        let parse = |r: &ClusterReport| JsonValue::parse(&cluster_summary_json(r)).unwrap();
-        let (a, b) = (parse(&plain), parse(&adaptive));
+        let texts = [&plain, &adaptive].map(cluster_summary_json);
+        let [a, b] = texts.each_ref().map(|t| JsonValue::parse(t).unwrap());
         assert_eq!(keys(&a), keys(&b));
         let faults: u64 = plain.nodes.iter().map(|n| n.faults.remote).sum();
         assert_eq!(
@@ -460,7 +463,8 @@ mod tests {
             .cluster_nodes(4)
             .build();
         let report = ClusterSim::new(config).run(&[app.clone(), app]);
-        let doc = JsonValue::parse(&cluster_summary_json(&report)).expect("valid JSON");
+        let json = cluster_summary_json(&report);
+        let doc = JsonValue::parse(&json).expect("valid JSON");
         // The merged sketch equals one built over every fault directly.
         let mut direct = QuantileSketch::new();
         for n in &report.nodes {

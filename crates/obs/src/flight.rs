@@ -1,4 +1,4 @@
-//! The flight recorder: O(worst-K) tail forensics.
+//! The flight recorder: worst-K tail forensics per node and window.
 //!
 //! [`MemoryRecorder`](crate::MemoryRecorder) keeps *every* event — the
 //! right tool for offline trace export, but its arena grows with the
@@ -341,8 +341,9 @@ impl FlightRecorder {
         self.chains.iter().filter(|c| c.alive).count()
     }
 
-    /// Total events held by retained chains — the O(K) bound the
-    /// recorder exists for.
+    /// Total events held by retained chains. At most K chains are kept
+    /// per node *per window*, and a closed window's chains stay, so this
+    /// grows with the number of windows a run spans.
     #[must_use]
     pub fn retained_events(&self) -> usize {
         self.chains

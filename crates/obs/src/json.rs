@@ -7,8 +7,13 @@
 //! runs in time linear in its input and bounds nesting at
 //! [`MAX_JSON_DEPTH`], so every input yields a value or a [`JsonError`],
 //! never a panic.
+//!
+//! A parsed [`JsonValue`] borrows from the text it was parsed from: a
+//! string or object key without an escape is a slice of the input, so
+//! parsing allocates only for arrays, objects and escaped literals.
+//! Objects keep their members in document order.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// The deepest array/object nesting [`JsonValue::parse`] accepts. The
@@ -54,22 +59,24 @@ impl fmt::Display for Escaped<'_> {
     }
 }
 
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing its strings from the parsed text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub enum JsonValue<'a> {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
     /// Any JSON number, held as `f64`.
     Number(f64),
-    /// A string (unescaped).
-    String(String),
+    /// A string, unescaped: borrowed from the input unless the literal
+    /// contains an escape.
+    String(Cow<'a, str>),
     /// An array.
-    Array(Vec<JsonValue>),
-    /// An object. Key order is not preserved (sorted map) — validation
-    /// does not need it.
-    Object(BTreeMap<String, JsonValue>),
+    Array(Vec<JsonValue<'a>>),
+    /// An object's members in document order, keys unescaped and
+    /// borrowed like strings. A repeated key keeps every member;
+    /// [`JsonValue::get`] reads the last.
+    Object(Vec<(Cow<'a, str>, JsonValue<'a>)>),
 }
 
 /// A parse failure, with the byte offset where it happened.
@@ -89,12 +96,12 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-impl JsonValue {
+impl<'a> JsonValue<'a> {
     /// Parse a complete JSON document (RFC 8259). Trailing whitespace
     /// is allowed; trailing garbage, raw control characters in strings,
     /// numbers outside the grammar or the `f64` range, and nesting
     /// deeper than [`MAX_JSON_DEPTH`] are errors.
-    pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
+    pub fn parse(input: &'a str) -> Result<JsonValue<'a>, JsonError> {
         let mut p = Parser {
             src: input,
             bytes: input.as_bytes(),
@@ -110,29 +117,32 @@ impl JsonValue {
         Ok(v)
     }
 
-    /// Object field lookup; `None` for non-objects or missing keys.
+    /// Object field lookup: the value of the last member named `key`;
+    /// `None` for non-objects or missing keys.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub fn get(&self, key: &str) -> Option<&JsonValue<'a>> {
         match self {
-            JsonValue::Object(map) => map.get(key),
+            JsonValue::Object(members) => {
+                members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+            }
             _ => None,
         }
     }
 
     /// The value as an array, if it is one.
     #[must_use]
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    pub fn as_array(&self) -> Option<&[JsonValue<'a>]> {
         match self {
             JsonValue::Array(items) => Some(items),
             _ => None,
         }
     }
 
-    /// The value as an object, if it is one.
+    /// The value as an object's members in document order, if it is one.
     #[must_use]
-    pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
+    pub fn as_object(&self) -> Option<&[(Cow<'a, str>, JsonValue<'a>)]> {
         match self {
-            JsonValue::Object(map) => Some(map),
+            JsonValue::Object(members) => Some(members),
             _ => None,
         }
     }
@@ -213,7 +223,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str, value: JsonValue<'a>) -> Result<JsonValue<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -222,7 +232,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    fn value(&mut self) -> Result<JsonValue<'a>, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
@@ -240,8 +250,8 @@ impl<'a> Parser<'a> {
     /// [`MAX_JSON_DEPTH`].
     fn nested(
         &mut self,
-        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
+        container: fn(&mut Self) -> Result<JsonValue<'a>, JsonError>,
+    ) -> Result<JsonValue<'a>, JsonError> {
         if self.depth == MAX_JSON_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
         }
@@ -251,7 +261,7 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self) -> Result<JsonValue<'a>, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -273,12 +283,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self) -> Result<JsonValue<'a>, JsonError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.eat(b'}') {
-            return Ok(JsonValue::Object(map));
+            return Ok(JsonValue::Object(members));
         }
         loop {
             self.skip_ws();
@@ -287,24 +297,26 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(map));
+                    return Ok(JsonValue::Object(members));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string literal, unescaped: a slice of the input when it holds
+    /// no escape, else a copy with the escapes decoded.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
         loop {
-            // Copy everything up to the next quote, backslash or control
+            // Take everything up to the next quote, backslash or control
             // byte as one slice. All three are ASCII, so the run ends on
             // a char boundary of the (valid UTF-8) input.
             let rest = &self.bytes[self.pos..];
@@ -312,12 +324,18 @@ impl<'a> Parser<'a> {
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
-            out.push_str(&self.src[self.pos..self.pos + run]);
+            let text = &self.src[self.pos..self.pos + run];
             self.pos += run;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -338,6 +356,8 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("invalid escape")),
                     };
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(text);
                     out.push(c);
                     self.pos += 1;
                 }
@@ -375,7 +395,7 @@ impl<'a> Parser<'a> {
         n > 0
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<JsonValue<'a>, JsonError> {
         // -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
         let start = self.pos;
         self.eat(b'-');
@@ -515,11 +535,35 @@ mod tests {
     }
 
     #[test]
+    fn strings_borrow_from_the_input_unless_escaped() {
+        let doc = r#"{"plain":"text","esc\u0041ped":"a\"b\nc"}"#;
+        let v = JsonValue::parse(doc).expect("parse");
+        let members = v.as_object().expect("object");
+        let within = |s: &str| doc.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        let (key, value) = &members[0];
+        assert!(matches!(key, Cow::Borrowed(k) if within(k) && *k == "plain"));
+        assert!(matches!(value, JsonValue::String(Cow::Borrowed(s)) if within(s) && *s == "text"));
+        let (key, value) = &members[1];
+        assert!(matches!(key, Cow::Owned(k) if k == "escAped"));
+        assert!(matches!(value, JsonValue::String(Cow::Owned(s)) if s == "a\"b\nc"));
+    }
+
+    #[test]
+    fn objects_keep_document_order_and_the_last_repeated_key() {
+        let v = JsonValue::parse(r#"{"a":1,"a":2}"#).expect("parse");
+        assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(2));
+        let v = JsonValue::parse(r#"{"z":0,"m":1,"a":2,"m":3}"#).expect("parse");
+        let keys: Vec<&str> = v.as_object().unwrap().iter().map(|(k, _)| &**k).collect();
+        assert_eq!(keys, ["z", "m", "a", "m"]);
+        assert_eq!(v.get("m").and_then(JsonValue::as_u64), Some(3));
+    }
+
+    #[test]
     fn empty_containers() {
         assert_eq!(JsonValue::parse("[]").unwrap(), JsonValue::Array(vec![]));
         assert_eq!(
             JsonValue::parse(" { } ").unwrap(),
-            JsonValue::Object(BTreeMap::new())
+            JsonValue::Object(Vec::new())
         );
     }
 }

@@ -20,7 +20,8 @@
 //! * [`FlightRecorder`] — a bounded [`Recorder`] for always-on tail
 //!   forensics: it retains the *complete* event chain only for the
 //!   worst-K faults per node per window (a reservoir keyed by page
-//!   wait), in O(K) memory instead of O(total events). Totals over
+//!   wait), in memory of K chains per node per window instead of
+//!   O(total events). Totals over
 //!   every fault (SLO attainment, prefetch accounting) are the run
 //!   report's, not a recorder's: recorders keep what a report cannot
 //!   hold — event chains, spatial breakdowns and time series.

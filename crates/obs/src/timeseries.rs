@@ -405,7 +405,8 @@ mod tests {
             start: t(0),
             end: t(800),
         });
-        let doc = JsonValue::parse(&metrics_json(&ts)).expect("valid JSON");
+        let json = metrics_json(&ts);
+        let doc = JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(METRICS_SCHEMA));
         assert_eq!(doc.get("window_ns").unwrap().as_u64(), Some(1_000));
         let windows = doc.get("windows").unwrap().as_array().unwrap();

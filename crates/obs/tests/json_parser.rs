@@ -1,6 +1,6 @@
 //! `JsonValue::parse` on input it did not write: any text returns `Ok`
-//! or `Err` without panicking, escaped strings round-trip, and parse
-//! time grows linearly with the document.
+//! or `Err` without panicking, escaped strings round-trip as values and
+//! as keys, and parse time grows linearly with the document.
 
 use std::time::{Duration, Instant};
 
@@ -74,8 +74,14 @@ proptest! {
     #[test]
     fn escaped_strings_round_trip(chars in prop::collection::vec(any_char(), 0..40)) {
         let s: String = chars.into_iter().collect();
-        let doc = format!("\"{}\"", escape_json(&s));
-        prop_assert_eq!(JsonValue::parse(&doc), Ok(JsonValue::String(s)));
+        let literal = format!("\"{}\"", escape_json(&s));
+        prop_assert_eq!(JsonValue::parse(&literal), Ok(JsonValue::String(s.as_str().into())));
+        // The same literal as an object key.
+        let doc = format!("{{{literal}:null}}");
+        prop_assert_eq!(
+            JsonValue::parse(&doc),
+            Ok(JsonValue::Object(vec![(s.as_str().into(), JsonValue::Null)]))
+        );
     }
 }
 
